@@ -1,22 +1,21 @@
-"""Hot-path speedup benchmark: legacy vs fast vs incremental vs array.
+"""Hot-path speedup benchmark: legacy vs incremental vs array.
 
 Runs a Figure-3-style sweep (regular + random graphs x granularities x
-the paper's four 16-processor topologies x {BSA, DLS}) four times —
-with the original linear-rescan hot path (``legacy``), the
-indexed-timeline / memoized / pruned engine (``fast``), the
-change-driven settle + undo-log engine (``incremental``), and the
-flat-array / vectorized-candidate engine (``array``) — and:
+the paper's four 16-processor topologies x {BSA, DLS}) three times —
+with the original linear-rescan hot path (``legacy``), the indexed /
+memoized / pruned engine with change-driven settle and undo-log
+rollback (``incremental``), and the flat-array / vectorized-candidate
+engine (``array``) — and:
 
-* asserts every schedule is **byte-identical** across all four modes
+* asserts every schedule is **byte-identical** across all three modes
   (serializer JSON compared cell by cell, which covers every task time
   and every message hop);
-* reports the single-process speedups (legacy->fast,
-  legacy->incremental and legacy->array);
+* reports the single-process speedups (legacy->incremental and
+  legacy->array);
 * runs the **settle/rollback microbench**: end-to-end BSA on n>=100-task
-  workloads, fast vs incremental vs array — isolating what the
-  change-driven settle engine, the undo-log rollback, and the array
-  rewrite buy on the workloads they target (recorded target: >= 2x
-  aggregate for incremental over fast);
+  workloads, legacy vs incremental vs array — what the indexed engine,
+  the change-driven settle, the undo-log rollback, and the array
+  rewrite buy on the workloads they target;
 * records the **scaling curve** (n=100 -> 2000, incremental vs array)
   and enforces the floor that array wins at n >= 1000 — the scale the
   array engine exists for;
@@ -53,13 +52,12 @@ from repro.util.intervals import set_hotpath_mode
 
 TOPOLOGIES = ("ring", "hypercube", "clique", "random")
 ALGORITHMS = ("bsa", "dls")
-MODES = ("legacy", "fast", "incremental", "array")
+MODES = ("legacy", "incremental", "array")
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json")
 
 #: settle/rollback microbench: BSA end-to-end on n>=100-task workloads,
-#: fast vs incremental (same indexed planning; the delta is exactly the
-#: incremental settle engine + undo-log rollback)
+#: against the legacy reference engine (full settle + deep-copy rollback)
 MICROBENCH_WORKLOADS = {
     "default": [
         ("regular", "gauss", 250, 1.0),
@@ -113,7 +111,7 @@ def _schedule(cell: Cell):
 
 
 def run_single_process(cells: List[Cell]) -> Dict:
-    """Time every cell under all four modes; verify bit-identical
+    """Time every cell under all three modes; verify bit-identical
     schedules across the whole mode set."""
     totals = {m: 0.0 for m in MODES}
     per_topology: Dict[str, Dict[str, float]] = {
@@ -134,7 +132,6 @@ def run_single_process(cells: List[Cell]) -> Dict:
             mismatches.append(cell.key())
         sys.stderr.write(
             f"\r[{i + 1}/{len(cells)}] legacy {totals['legacy']:.1f}s "
-            f"fast {totals['fast']:.1f}s "
             f"incremental {totals['incremental']:.1f}s "
             f"array {totals['array']:.1f}s"
         )
@@ -143,10 +140,8 @@ def run_single_process(cells: List[Cell]) -> Dict:
     return {
         "cells": len(cells),
         "legacy_s": round(totals["legacy"], 3),
-        "fast_s": round(totals["fast"], 3),
         "incremental_s": round(totals["incremental"], 3),
         "array_s": round(totals["array"], 3),
-        "speedup": round(totals["legacy"] / totals["fast"], 2),
         "speedup_incremental": round(totals["legacy"] / totals["incremental"], 2),
         "speedup_array": round(totals["legacy"] / totals["array"], 2),
         "identical_schedules": not mismatches,
@@ -154,10 +149,8 @@ def run_single_process(cells: List[Cell]) -> Dict:
         "per_topology": {
             t: {
                 "legacy_s": round(v["legacy"], 3),
-                "fast_s": round(v["fast"], 3),
                 "incremental_s": round(v["incremental"], 3),
                 "array_s": round(v["array"], 3),
-                "speedup": round(v["legacy"] / v["fast"], 2) if v["fast"] else None,
                 "speedup_incremental": (
                     round(v["legacy"] / v["incremental"], 2)
                     if v["incremental"] else None
@@ -173,11 +166,11 @@ def run_single_process(cells: List[Cell]) -> Dict:
 
 
 def run_settle_microbench(preset: str, reps: int = 3) -> Dict:
-    """End-to-end BSA, fast vs incremental vs array, n>=100 workloads.
+    """End-to-end BSA, legacy vs incremental vs array, n>=100 workloads.
 
-    All three modes share the indexed planning substrate; incremental's
-    delta over fast is exactly the change-driven settle engine plus the
-    undo-log rollback replacing per-commit snapshots, and array's delta
+    Incremental's delta over legacy is the indexed planning substrate,
+    the candidate pruning, the change-driven settle engine and the
+    undo-log rollback replacing per-commit deep copies; array's delta
     over incremental is the flat-array timelines plus the vectorized
     candidate masks. Identity is asserted via the serializer like the
     main sweep. Each workload is timed ``reps`` times per mode
@@ -191,7 +184,7 @@ def run_settle_microbench(preset: str, reps: int = 3) -> Dict:
         for suite, app, size, gran in workloads:
             cell = Cell(suite, app, size, gran, "hypercube", "bsa",
                         n_procs=16, graph_seed=1, system_seed=1)
-            for mode in ("fast", "incremental", "array"):
+            for mode in MODES:
                 set_hotpath_mode(mode)
                 sched, elapsed = _schedule(cell)
                 key = (suite, app, size, mode)
@@ -201,36 +194,36 @@ def run_settle_microbench(preset: str, reps: int = 3) -> Dict:
                     blobs[key] = schedule_to_json(sched)
     set_hotpath_mode("incremental")
     per_workload = []
-    tot = {"fast": 0.0, "incremental": 0.0, "array": 0.0}
+    tot = {"legacy": 0.0, "incremental": 0.0, "array": 0.0}
     identical = True
     for suite, app, size, gran in workloads:
-        f = best[(suite, app, size, "fast")]
+        g = best[(suite, app, size, "legacy")]
         i = best[(suite, app, size, "incremental")]
         a = best[(suite, app, size, "array")]
-        tot["fast"] += f
+        tot["legacy"] += g
         tot["incremental"] += i
         tot["array"] += a
-        same = (blobs[(suite, app, size, "fast")]
+        same = (blobs[(suite, app, size, "legacy")]
                 == blobs[(suite, app, size, "incremental")]
                 == blobs[(suite, app, size, "array")])
         identical = identical and same
         per_workload.append({
             "workload": f"{app}-n{size}",
             "n_tasks": size,
-            "fast_s": round(f, 3),
+            "legacy_s": round(g, 3),
             "incremental_s": round(i, 3),
             "array_s": round(a, 3),
-            "speedup": round(f / i, 2),
-            "speedup_array": round(f / a, 2),
+            "speedup": round(g / i, 2),
+            "speedup_array": round(g / a, 2),
             "identical": same,
         })
     return {
         "workloads": per_workload,
-        "fast_s": round(tot["fast"], 3),
+        "legacy_s": round(tot["legacy"], 3),
         "incremental_s": round(tot["incremental"], 3),
         "array_s": round(tot["array"], 3),
-        "speedup": round(tot["fast"] / tot["incremental"], 2),
-        "speedup_array": round(tot["fast"] / tot["array"], 2),
+        "speedup": round(tot["legacy"] / tot["incremental"], 2),
+        "speedup_array": round(tot["legacy"] / tot["array"], 2),
         "identical_schedules": identical,
     }
 
@@ -435,15 +428,15 @@ def main(argv=None) -> int:
         "single_process": run_single_process(cells),
     }
     sp = report["single_process"]
-    print(f"single-process: legacy {sp['legacy_s']}s -> fast {sp['fast_s']}s "
-          f"= {sp['speedup']}x -> incremental {sp['incremental_s']}s "
-          f"= {sp['speedup_incremental']}x -> array {sp['array_s']}s "
+    print(f"single-process: legacy {sp['legacy_s']}s -> incremental "
+          f"{sp['incremental_s']}s = {sp['speedup_incremental']}x -> array "
+          f"{sp['array_s']}s "
           f"= {sp['speedup_array']}x, identical={sp['identical_schedules']}")
 
     report["settle_microbench"] = run_settle_microbench(args.preset)
     mb = report["settle_microbench"]
     print(f"settle/rollback microbench ({len(mb['workloads'])} BSA workloads, "
-          f"n>=100): fast {mb['fast_s']}s -> incremental {mb['incremental_s']}s "
+          f"n>=100): legacy {mb['legacy_s']}s -> incremental {mb['incremental_s']}s "
           f"= {mb['speedup']}x -> array {mb['array_s']}s "
           f"= {mb['speedup_array']}x, identical={mb['identical_schedules']}")
 

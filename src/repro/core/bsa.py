@@ -47,11 +47,7 @@ from repro.core.migration import (
 from repro.core.serialization import PivotSelection, serial_injection
 from repro.schedule.linkplan import arrival_lower_bound
 from repro.schedule.schedule import Schedule
-from repro.util.intervals import (
-    array_enabled,
-    fast_path_enabled,
-    incremental_enabled,
-)
+from repro.util.intervals import array_enabled, fast_path_enabled
 from repro.util.rng import RngStream
 from repro.util.tolerance import EPS as _EPS
 
@@ -479,12 +475,12 @@ class BSAScheduler:
         constraints are contradictory (possible after multi-phase reroutes
         leave stale slot positions — rare, but must never corrupt state).
 
-        Rollback machinery by engine mode: ``incremental`` records an
-        undo log of the actual mutations (O(#mutations), no per-commit
-        capture cost); ``fast`` captures a shallow container snapshot;
-        ``legacy`` deep-copies the schedule.
+        Rollback machinery by engine mode: ``incremental`` and ``array``
+        record an undo log of the actual mutations (O(#mutations), no
+        per-commit capture cost); ``legacy``, the reference oracle,
+        deep-copies the schedule.
         """
-        if incremental_enabled():
+        if fast_path_enabled():
             txn = sched.begin_txn()
             try:
                 commit_migration(
@@ -500,12 +496,7 @@ class BSAScheduler:
             self.stats.n_migrations += 1
             return True
 
-        if fast_path_enabled():
-            snapshot = sched.snapshot()
-            restore = sched.restore_snapshot
-        else:
-            snapshot = sched.copy()
-            restore = sched.restore_from
+        snapshot = sched.copy()
         try:
             commit_migration(
                 sched, plan,
@@ -513,7 +504,7 @@ class BSAScheduler:
                 truncate=self.options.truncate_routes,
             )
         except CycleError:
-            restore(snapshot)
+            sched.restore_from(snapshot)
             self.stats.n_rejected_migrations += 1
             return False
         self.stats.n_migrations += 1
@@ -527,7 +518,7 @@ def schedule_bsa(
     """Convenience wrapper: run BSA and return the schedule.
 
     The schedule is complete (every task placed, every message routed)
-    and identical across the four ``REPRO_HOTPATH`` engine modes.
+    and identical across the three ``REPRO_HOTPATH`` engine modes.
 
     >>> from repro.network.system import HeterogeneousSystem
     >>> from repro.network.topology import ring

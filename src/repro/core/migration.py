@@ -40,8 +40,10 @@ from repro.network.topology import Proc, link_id
 from repro.schedule.events import Edge
 from repro.schedule.linkplan import LinkPlanner, slot_start
 from repro.schedule.schedule import Schedule
-from repro.schedule.settle import settle, settle_array, settle_incremental
-from repro.util.intervals import array_enabled, incremental_enabled
+# settle_array (an alias of settle_incremental) stays importable here
+# because perfbench/layers.py wraps it as a traced call site
+from repro.schedule.settle import settle, settle_array, settle_incremental  # noqa: F401
+from repro.util.intervals import fast_path_enabled
 from repro.util.tolerance import DRT_EPS
 
 #: incoming-route plan kinds
@@ -203,11 +205,12 @@ def commit_migration(
 ) -> None:
     """Apply ``plan`` to the schedule and settle times.
 
-    In incremental hot-path mode the final settle recomputes only the
-    affected cone, seeded by the transaction's mutation log (an
-    anonymous transaction is opened if the caller didn't provide one);
-    the schedule must therefore be settled on entry, which every BSA
-    state is. Other modes run the full settle pass.
+    In the indexed hot-path modes (``incremental`` and ``array``) the
+    final settle recomputes only the affected cone, seeded by the
+    transaction's mutation log (an anonymous transaction is opened if
+    the caller didn't provide one); the schedule must therefore be
+    settled on entry, which every BSA state is. ``legacy`` runs the full
+    settle pass.
     """
     system = sched.system
     graph = system.graph
@@ -217,7 +220,7 @@ def commit_migration(
             f"stale migration plan: {task!r} on P{sched.proc_of(task)}, plan expects P{src}"
         )
 
-    own_txn = incremental_enabled() and sched.txn is None
+    own_txn = fast_path_enabled() and sched.txn is None
     if own_txn:
         sched.begin_txn()
     try:
@@ -252,11 +255,8 @@ def commit_migration(
 
         sched.place_task(task, dst, start=plan.st)
         txn = sched.txn
-        if txn is not None and incremental_enabled():
-            if array_enabled():
-                settle_array(sched, txn.seed_tasks, txn.seed_hops)
-            else:
-                settle_incremental(sched, txn.seed_tasks, txn.seed_hops)
+        if txn is not None and fast_path_enabled():
+            settle_incremental(sched, txn.seed_tasks, txn.seed_hops)
         else:
             settle(sched)
     finally:

@@ -70,7 +70,7 @@ COUNTERS: Dict[str, str] = {
     "settle.budget_fallbacks":
         "incremental settles abandoned to the full pass (pop budget)",
     "settle.full_passes":
-        "full Kahn settle passes (fast/legacy engines and fallbacks)",
+        "full Kahn settle passes (indexed-engine settle() calls and fallbacks)",
     "txn.rollbacks":
         "schedule transactions rolled back via the undo log",
     "route.trie_hits":

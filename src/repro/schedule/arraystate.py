@@ -1,6 +1,6 @@
 """Flat-array engine state for ``REPRO_HOTPATH=array``.
 
-The object-and-dict hot path (modes ``fast``/``incremental``) tops out
+The object-and-dict hot path (mode ``incremental``) tops out
 around n≈400 tasks: beyond that, BSA spends its time in per-candidate
 ``evaluate_migration`` calls and long scalar timeline scans. The array
 engine keeps the *algorithms* (and therefore the schedules, bit for bit)
@@ -99,7 +99,7 @@ class ArrayTimeline(Timeline):
         if scan_all:
             stop = n
         while i < stop:
-            if starts[i] - t >= duration - EPS:
+            if t + duration - starts[i] <= EPS:
                 return t
             f = finishes[i]
             if f > t:
@@ -117,13 +117,13 @@ class ArrayTimeline(Timeline):
         # loop's running maximum of t over finishes[..k-1], which equals
         # max(t, maxf[k-1]) because maxf is the running maximum and every
         # reservation before i was already folded into t. Same floats,
-        # same `starts[k] - t >= duration - EPS` fit test — the first
+        # same `t + duration - starts[k] <= EPS` fit test — the first
         # fitting index is exactly where the scalar loop would return,
         # and with no fit both return max(t, maxf[-1]).
         cand = np.empty(n - i)
         cand[0] = t
         np.maximum(npm[i:n - 1], t, out=cand[1:])
-        fits = nps[i:] - cand >= duration - EPS
+        fits = cand + duration - nps[i:] <= EPS
         j = int(fits.argmax())
         if fits[j]:
             return float(cand[j])

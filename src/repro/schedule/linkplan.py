@@ -10,8 +10,7 @@ the contention substrate stays identical across algorithms.
 
 Two implementations, selected by the process-wide hot-path mode:
 
-* *indexed* (modes ``fast`` and ``incremental`` — planning is identical
-  in both; ``incremental`` only changes settle/rollback downstream) —
+* *indexed* (modes ``incremental`` and ``array``) —
   query the schedule's cached :class:`Timeline` with an indexed jump,
   merged on the fly (two-pointer walk) with the planner's small
   per-link tentative-reservation lists; nothing is copied or re-sorted;
@@ -41,7 +40,7 @@ class LinkPlanner:
         self.insertion = insertion
         # legacy mode: tentative Interval lists merged per query
         self.planned: Dict[Link, List[Interval]] = {}
-        # fast mode: small start-sorted (starts, finishes) lists per link
+        # indexed modes: small start-sorted (starts, finishes) lists per link
         self._extras: Dict[Link, Tuple[List[float], List[float]]] = {}
         # bind the implementation once — reserve is called per hop on the
         # hottest path and the mode cannot change mid-plan

@@ -90,11 +90,9 @@ class Schedule:
         # processors/channels it touched, so a commit that rearranges
         # two processors and three links leaves every other resource's
         # cached timeline valid. ``_epoch`` covers wholesale changes
-        # (full resort, snapshot restore, rollback); ``_version`` stays
-        # as the coarse any-mutation counter. BSA evaluates hundreds of
+        # (full resort, restore, rollback). BSA evaluates hundreds of
         # candidate moves between mutations, so the caches are hit far
         # more than rebuilt.
-        self._version: int = 0
         self._epoch: int = 0
         self._res_version: Dict[Tuple[str, object], int] = {}
         self._tl_cache: Dict[Tuple[str, object], Tuple[Tuple[int, int], Timeline]] = {}
@@ -234,7 +232,6 @@ class Schedule:
         self.slots[task] = slot
         if self._txn is not None:
             self._txn.record_place(task, proc, position, order)
-        self._version += 1
         key = ("p", proc)
         rv = self._res_version
         rv[key] = rv.get(key, 0) + 1
@@ -262,7 +259,6 @@ class Schedule:
         order.pop(pos)
         if self._txn is not None:
             self._txn.record_remove(task, slot, pos, order)
-        self._version += 1
         key = ("p", slot.proc)
         rv = self._res_version
         rv[key] = rv.get(key, 0) + 1
@@ -329,7 +325,6 @@ class Schedule:
             txn.record_set_route(edge, entries)
             txn.seed_hops.extend(hops)
             txn.seed_tasks.add(edge[1])
-        self._version += 1
         return route
 
     def _bisect_hops(self, order: List[MessageHop], start: float) -> int:
@@ -373,7 +368,6 @@ class Schedule:
         if txn is not None:
             txn.record_clear_route(edge, route, entries)
             txn.seed_tasks.add(edge[1])
-        self._version += 1
 
     def mark_local(self, edge: Edge) -> None:
         """Record that ``edge`` is intra-processor (no links used)."""
@@ -420,7 +414,6 @@ class Schedule:
             order.sort(key=lambda t: (self.slots[t].start, self.slots[t].finish))
         for l, hops in self.link_order.items():
             hops.sort(key=lambda h: (h.start, h.finish))
-        self._version += 1
         self._epoch += 1  # every resource may have changed
 
     def resort_partial(self, procs: Iterable[Proc], channels: Iterable[Link]) -> None:
@@ -465,7 +458,6 @@ class Schedule:
                 ps, pf = ss, sf
             key = ("l", ch)
             rv[key] = rv.get(key, 0) + 1
-        self._version += 1
 
     def copy(self) -> "Schedule":
         """Deep copy (fresh slot/hop objects, shared system)."""
@@ -490,34 +482,6 @@ class Schedule:
             dup.link_order[l] = [hop_map[id(h)] for h in hops]
         return dup
 
-    def snapshot(self) -> "ScheduleSnapshot":
-        """Shallow structural capture for transactional rollback.
-
-        Much cheaper than :meth:`copy` — container dicts/lists are copied
-        but slot/hop/route objects are *shared* with the live schedule.
-        This is sound for rolling back a failed ``commit_migration``
-        because mutators only ever create new objects or re-link
-        containers; shared objects' times are first overwritten by the
-        settle write-back, which the settle pass guarantees not to reach
-        when it raises ``CycleError``. Do not use the snapshot after any
-        successful settle: restoring it then would revive stale times.
-        """
-        return ScheduleSnapshot(self)
-
-    def restore_snapshot(self, snap: "ScheduleSnapshot") -> None:
-        """Adopt the state captured by :meth:`snapshot` (see its
-        contract); the snapshot must not be reused afterwards."""
-        if snap.system is not self.system:
-            raise SchedulingError("cannot restore from a different system's snapshot")
-        self.algorithm = snap.algorithm
-        self.slots = snap.slots
-        self.proc_order = snap.proc_order
-        self.routes = snap.routes
-        self.link_order = snap.link_order
-        self._version += 1
-        self._epoch += 1
-        self._tl_cache.clear()
-
     def restore_from(self, snapshot: "Schedule") -> None:
         """Adopt the full state of ``snapshot`` (transactional rollback).
 
@@ -531,7 +495,6 @@ class Schedule:
         self.slots = snapshot.slots
         self.routes = snapshot.routes
         self.link_order = snapshot.link_order
-        self._version += 1
         self._epoch += 1
         self._tl_cache.clear()
 
@@ -551,25 +514,6 @@ class Schedule:
         )
 
 
-class ScheduleSnapshot:
-    """Shallow capture of a schedule's container state.
-
-    Slot, hop and route objects are shared with the live schedule — see
-    :meth:`Schedule.snapshot` for when that is sound.
-    """
-
-    __slots__ = ("system", "algorithm", "slots", "proc_order", "routes",
-                 "link_order")
-
-    def __init__(self, sched: Schedule):
-        self.system = sched.system
-        self.algorithm = sched.algorithm
-        self.slots = dict(sched.slots)
-        self.proc_order = {p: list(o) for p, o in sched.proc_order.items()}
-        self.routes = dict(sched.routes)
-        self.link_order = {l: list(h) for l, h in sched.link_order.items()}
-
-
 #: undo-log op tags
 _OP_PLACE, _OP_REMOVE, _OP_SET_ROUTE, _OP_CLEAR_ROUTE, _OP_SET_LOCAL = range(5)
 
@@ -583,9 +527,10 @@ class ScheduleTxn:
     had before the op (later mutations of the same list have already
     been reversed when an op replays, so recorded indices are valid).
     Time write-backs the incremental settle performs are recorded via
-    :meth:`record_time` and restored the same way. Compared to
-    :meth:`Schedule.snapshot` this costs O(actual mutations) instead of
-    O(tasks + hops) per commit — and commits vastly outnumber rollbacks.
+    :meth:`record_time` and restored the same way. Compared to the deep
+    :meth:`Schedule.copy` the legacy engine restores from, this costs
+    O(actual mutations) instead of O(tasks + hops) per commit — and
+    commits vastly outnumber rollbacks.
 
     The *seed sets* accumulate every node whose constraint predecessors
     changed (moved/new tasks, order successors of removed or inserted
@@ -677,6 +622,5 @@ class ScheduleTxn:
         sched.slots = {t: slots[t] for t in self._slot_keys}
         sched.routes = {e: routes[e] for e in self._route_keys}
         sched._txn = None
-        sched._version += 1
         sched._epoch += 1
         sched._tl_cache.clear()

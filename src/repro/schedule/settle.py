@@ -26,23 +26,20 @@ Implementation note: this runs after every committed migration, so it is
 the hottest loop in BSA. Nodes are mapped to dense integer ids and the
 Kahn pass runs over plain lists.
 
-Four implementations coexist, selected by the process-wide hot-path
+Three implementations coexist, selected by the process-wide hot-path
 mode:
 
-* :func:`_settle_legacy` — the original closure-per-dependency code;
+* :func:`_settle_legacy` — the original closure-per-dependency code
+  (mode ``legacy``, the reference oracle);
 * :func:`_settle_fast` — the same full Kahn pass with flattened loops;
-* :func:`settle_incremental` — the change-driven engine (mode
-  ``incremental``): instead of rebuilding the whole constraint DAG it
-  starts from the *seed set* a :class:`~repro.schedule.schedule.
-  ScheduleTxn` collected during the mutations (every node whose
+* :func:`settle_incremental` — the change-driven engine (modes
+  ``incremental`` and ``array``): instead of rebuilding the whole
+  constraint DAG it starts from the *seed set* a :class:`~repro.schedule.
+  schedule.ScheduleTxn` collected during the mutations (every node whose
   constraint predecessors changed) and propagates recomputed times
   forward only while they actually change. Called by
-  ``commit_migration`` in incremental mode; :func:`settle` itself always
-  runs a full pass (it has no seed information);
-* :func:`settle_array` — the array-engine sibling (mode ``array``):
-  the same change-driven worklist settled against the numpy-backed
-  flat-array state (:mod:`repro.schedule.arraystate`), writing back
-  through the same ScheduleTxn undo log.
+  ``commit_migration``; :func:`settle` itself always runs a full pass
+  (it has no seed information).
 """
 
 from __future__ import annotations
@@ -447,239 +444,11 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     return schedule
 
 
-def settle_array(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
-    """Array-engine sibling of :func:`settle_incremental`.
-
-    Same change-driven worklist, same seeds, same undo-log write-backs
-    through the open :class:`~repro.schedule.schedule.ScheduleTxn` —
-    rollback, the validator, and ``repro.dynamic`` repair see no
-    difference. What changes is the state the cone is settled against:
-    timelines rebuilt during/after the settle are
-    :class:`~repro.schedule.arraystate.ArrayTimeline` (via the
-    schedule's engine-mode timeline class), and the rare ``cost is
-    None`` duration fallbacks read the :class:`~repro.schedule.
-    arraystate.ArrayState` dense matrices instead of per-task dict
-    chains. The longest-path fixpoint is a max over the same floats, so
-    the settled times are bit-identical to :func:`settle_incremental` —
-    enforced by the 4-mode differential suites.
-    """
-    system = schedule.system
-    graph = system.graph
-    if graph.has_zero_cost_edge():
-        return _settle_fast(schedule)
-
-    from repro.schedule.arraystate import get_array_state
-
-    state = get_array_state(system)
-    exec_matrix = state.exec_matrix
-    task_index = graph.task_index
-    comm_row = state.comm_row
-    col_of = state._col
-    comm_cost = system.comm_cost
-
-    slots = schedule.slots
-    routes = schedule.routes
-    slots_get = slots.get
-    routes_get = routes.get
-    proc_order = schedule.proc_order
-    link_order = schedule.link_order
-    txn = schedule._txn
-    pred_edges = graph.pred_edges
-    succ_of = graph._succ
-
-    proc_pos: Dict[object, Dict[object, int]] = {}
-    link_pos: Dict[object, Dict[int, int]] = {}
-    pp_get = proc_pos.get
-    lp_get = link_pos.get
-    sched_ppos = schedule.proc_positions
-    sched_lpos = schedule.link_positions
-
-    heap: List[tuple] = []
-    pending: set = set()
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    seq = 0
-
-    live_seed_hops: List[object] = []
-    for hop in seed_hops:
-        r = routes_get(hop.edge)
-        if r is not None and any(h is hop for h in r.hops):
-            live_seed_hops.append(hop)
-    for t in seed_tasks:
-        slot = slots_get(t)
-        if slot is not None:
-            oid = id(slot)
-            if oid not in pending:
-                pending.add(oid)
-                seq += 1
-                heappush(heap, (slot.start, seq, False, slot))
-    for hop in live_seed_hops:
-        oid = id(hop)
-        if oid not in pending:
-            pending.add(oid)
-            seq += 1
-            heappush(heap, (hop.start, seq, True, hop))
-
-    touched_procs: set = set()
-    touched_channels: set = set()
-    times_append = txn.times.append if txn is not None else None
-    # same convergence backstops as settle_incremental (see there)
-    regrow: Dict[int, int] = {}
-    budget = len(slots) + 3 * len(routes) + 64
-    pops = 0
-
-    while heap:
-        pops += 1
-        if pops > budget:
-            if _obs.ACTIVE:
-                _obs.inc("settle.budget_fallbacks")
-                _obs.inc("settle.cone_pops", pops)
-            return _settle_fast(schedule)
-        _, _, is_hop, obj = heappop(heap)
-        pending.discard(id(obj))
-
-        new_start = 0.0
-        if is_hop:
-            ch = obj._chan
-            order = link_order[ch]
-            m = lp_get(ch)
-            if m is None:
-                m = link_pos[ch] = sched_lpos(ch)
-            i = m[id(obj)]
-            if i > 0:
-                f = order[i - 1].finish
-                if f > new_start:
-                    new_start = f
-            u, v = obj.edge
-            chained = u in slots and v in slots
-            if chained:
-                k = obj._rpos
-                f = slots[u].finish if k == 0 else routes[obj.edge].hops[k - 1].finish
-                if f > new_start:
-                    new_start = f
-        else:
-            t, p = obj.task, obj.proc
-            order = proc_order[p]
-            m = pp_get(p)
-            if m is None:
-                m = proc_pos[p] = sched_ppos(p)
-            i = m[t]
-            if i > 0:
-                f = slots[order[i - 1]].finish
-                if f > new_start:
-                    new_start = f
-            for u, ue in pred_edges(t):
-                us = slots_get(u)
-                if us is None:
-                    continue  # partial schedule: constraint not yet active
-                r = routes_get(ue)
-                f = r.hops[-1].finish if (r is not None and r.hops) else us.finish
-                if f > new_start:
-                    new_start = f
-
-        if new_start == obj.start:
-            continue  # times converged here; successors are unaffected
-
-        if times_append is not None:
-            times_append((obj, obj.start, obj.finish))
-        duration = obj.cost
-        if duration is None:
-            # dense fallbacks: same floats as the system's scalar
-            # lookups (the exec matrix shares the per-task tuples, the
-            # comm row the memoized h'*c/bw products)
-            if is_hop:
-                row = comm_row(obj.edge)
-                lid = obj.link
-                duration = (
-                    row[col_of[lid]] if row is not None
-                    else comm_cost(obj.edge, lid)
-                )
-            else:
-                duration = float(exec_matrix[task_index(obj.task), obj.proc])
-        old_finish = obj.finish
-        obj.start = new_start
-        new_finish = new_start + duration
-        obj.finish = new_finish
-
-        grew = new_finish > old_finish
-        if grew:
-            oid = id(obj)
-            c = regrow.get(oid, 0) + 1
-            if c >= 3:
-                if _reaches_itself(schedule, obj, is_hop):
-                    desc = (
-                        f"hop {obj.edge} {obj.src}->{obj.dst}" if is_hop
-                        else f"task {obj.task!r}@P{obj.proc}"
-                    )
-                    raise CycleError(
-                        "contradictory schedule orders (array settle): "
-                        f"cycle through {desc}",
-                        [obj.edge if is_hop else obj.task],
-                    )
-                c = -(1 << 30)  # proven cycle-free; never re-check
-            regrow[oid] = c
-        if is_hop:
-            touched_channels.add(ch)
-            if i + 1 < len(order):
-                nxt = order[i + 1]
-                s = nxt.start
-                if (new_finish > s) if grew else (s == old_finish):
-                    oid = id(nxt)
-                    if oid not in pending:
-                        pending.add(oid)
-                        seq += 1
-                        heappush(heap, (s, seq, True, nxt))
-            if chained:
-                hops = routes[obj.edge].hops
-                k = obj._rpos
-                nxt = hops[k + 1] if k + 1 < len(hops) else slots[v]
-                s = nxt.start
-                if (new_finish > s) if grew else (s == old_finish):
-                    oid = id(nxt)
-                    if oid not in pending:
-                        pending.add(oid)
-                        seq += 1
-                        heappush(heap, (s, seq, k + 1 < len(hops), nxt))
-        else:
-            touched_procs.add(p)
-            if i + 1 < len(order):
-                nxt = slots[order[i + 1]]
-                s = nxt.start
-                if (new_finish > s) if grew else (s == old_finish):
-                    oid = id(nxt)
-                    if oid not in pending:
-                        pending.add(oid)
-                        seq += 1
-                        heappush(heap, (s, seq, False, nxt))
-            for v in succ_of[t]:
-                vs = slots_get(v)
-                if vs is None:
-                    continue
-                r = routes_get((t, v))
-                if r is not None and r.hops:
-                    nxt, nxt_hop = r.hops[0], True
-                else:
-                    nxt, nxt_hop = vs, False
-                s = nxt.start
-                if (new_finish > s) if grew else (s == old_finish):
-                    oid = id(nxt)
-                    if oid not in pending:
-                        pending.add(oid)
-                        seq += 1
-                        heappush(heap, (s, seq, nxt_hop, nxt))
-
-    for t in seed_tasks:
-        slot = slots_get(t)
-        if slot is not None:
-            touched_procs.add(slot.proc)
-    for hop in live_seed_hops:
-        touched_channels.add(hop._chan)
-
-    if _obs.ACTIVE:
-        _obs.inc("settle.incremental_runs")
-        _obs.inc("settle.cone_pops", pops)
-    schedule.resort_partial(touched_procs, touched_channels)
-    return schedule
+# The array engine settles through the same cone loop: its timelines
+# come from the schedule's engine-mode timeline class, not from the
+# settle. The name stays because perfbench/layers.py wraps
+# ``repro.core.migration.settle_array`` as a traced call site.
+settle_array = settle_incremental
 
 
 def _reaches_itself(schedule: Schedule, start, start_is_hop: bool) -> bool:

@@ -19,12 +19,11 @@ Two implementations coexist:
 
 Which one the schedulers use is controlled by the process-wide hot-path
 mode (:func:`hotpath_mode` / :func:`set_hotpath_mode`, initialized from
-``REPRO_HOTPATH``). Four modes exist: ``legacy`` (the original
-linear-rescan reference code), ``fast`` (indexed timelines, memoized
-routing/costs, candidate pruning, shallow snapshots), ``incremental``
-(the default: everything in ``fast`` plus the change-driven settle
-engine and the undo-log rollback in :mod:`repro.schedule.settle` /
-:mod:`repro.schedule.schedule`), and ``array`` (everything in
+``REPRO_HOTPATH``). Three modes exist: ``legacy`` (the original
+linear-rescan reference code), ``incremental`` (the default: indexed
+timelines, memoized routing/costs, candidate pruning, the change-driven
+settle engine and the undo-log rollback in :mod:`repro.schedule.settle`
+/ :mod:`repro.schedule.schedule`), and ``array`` (everything in
 ``incremental`` plus the numpy-backed flat-array state in
 :mod:`repro.schedule.arraystate`: vectorized timeline gap search,
 dense cost matrices, and batched candidate evaluation — built for
@@ -49,13 +48,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.util.tolerance import EPS
 
-#: hot-path modes: "incremental" (default) adds the change-driven settle
-#: engine and undo-log rollback on top of "fast" (indexed structures and
-#: memoized routing/cost lookups); "array" adds the numpy flat-array
-#: state (vectorized gap search, dense cost matrices, batched candidate
+#: hot-path modes: "incremental" (default) runs the indexed structures,
+#: memoized routing/cost lookups, change-driven settle engine and
+#: undo-log rollback; "array" adds the numpy flat-array state
+#: (vectorized gap search, dense cost matrices, batched candidate
 #: evaluation) on top of "incremental"; "legacy" runs the original
 #: linear-rescan code.
-HOTPATH_MODES = ("incremental", "fast", "legacy", "array")
+HOTPATH_MODES = ("incremental", "legacy", "array")
 
 
 def _require_numpy(mode: str) -> None:
@@ -74,30 +73,30 @@ def _require_numpy(mode: str) -> None:
         ) from None
 
 
-_hotpath_mode = os.environ.get("REPRO_HOTPATH", "incremental").strip().lower()
-if _hotpath_mode not in HOTPATH_MODES:  # pragma: no cover - env typo guard
-    _hotpath_mode = "incremental"
+_hotpath_mode = os.environ.get("REPRO_HOTPATH", "").strip().lower() or "incremental"
+if _hotpath_mode not in HOTPATH_MODES:
+    from repro.errors import ConfigurationError
+
+    raise ConfigurationError(
+        f"REPRO_HOTPATH={_hotpath_mode!r} is not a hot-path mode; "
+        f"valid modes are {HOTPATH_MODES}"
+    )
 if _hotpath_mode == "array":
     _require_numpy(_hotpath_mode)
 
 
 def hotpath_mode() -> str:
-    """Current hot-path mode: ``"incremental"`` (default), ``"fast"``,
-    ``"legacy"`` or ``"array"``."""
+    """Current hot-path mode: ``"incremental"`` (default), ``"legacy"``
+    or ``"array"``."""
     return _hotpath_mode
 
 
 def fast_path_enabled() -> bool:
-    """True for every indexed-engine mode (``fast``, ``incremental`` and
-    ``array``); each later engine is a strict superset of ``fast``."""
+    """True for every indexed-engine mode (``incremental`` and ``array``):
+    indexed timelines, memoized lookups, candidate pruning, the
+    change-driven settle engine and undo-log rollback. ``array`` is a
+    strict superset of ``incremental``."""
     return _hotpath_mode != "legacy"
-
-
-def incremental_enabled() -> bool:
-    """True when the change-driven settle engine and undo-log rollback
-    are active (modes ``incremental`` and ``array`` — the array engine
-    reuses the whole transactional substrate)."""
-    return _hotpath_mode == "incremental" or _hotpath_mode == "array"
 
 
 def array_enabled() -> bool:
@@ -164,7 +163,7 @@ def earliest_gap(
         return max(ready, 0.0)
     t = max(ready, 0.0)
     for iv in busy:
-        if iv.start - t >= duration - EPS:
+        if t + duration - iv.start <= EPS:
             return t  # fits in the gap before this reservation
         if iv.finish > t:
             t = iv.finish
@@ -247,7 +246,7 @@ class Timeline:
         n = len(starts)
         i = bisect_right(self._maxf, t)
         while i < n:
-            if starts[i] - t >= duration - EPS:
+            if t + duration - starts[i] <= EPS:
                 return t
             f = finishes[i]
             if f > t:
@@ -285,7 +284,7 @@ class Timeline:
             else:
                 s, f = extra_starts[j], extra_finishes[j]
                 j += 1
-            if s - t >= duration - EPS:
+            if t + duration - s <= EPS:
                 return t
             if f > t:
                 t = f

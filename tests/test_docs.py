@@ -142,7 +142,7 @@ class TestArchitecture:
 
     def test_architecture_documents_engine_modes(self):
         text = _read("ARCHITECTURE.md")
-        for mode in ("incremental", "fast", "legacy", "array"):
+        for mode in ("incremental", "legacy", "array"):
             assert f"`{mode}`" in text
         assert "REPRO_HOTPATH" in text
         assert "byte identity" in text.lower().replace("-", " ")
@@ -403,7 +403,7 @@ class TestExperimentsSection13:
         assert report["jobs_identical"], (
             "committed bench violates its own --jobs identity check"
         )
-        modes = ["legacy", "fast", "incremental", "array"]
+        modes = ["legacy", "incremental", "array"]
         assert set(modes) <= set(report["modes"])
         names = sorted({c for m in modes for c in report["modes"][m]})
         section = _read("EXPERIMENTS.md").split("## 13.")[1]

@@ -4,7 +4,7 @@ Covers the provider layer (app tokens with content hashes, stale-file
 detection, cell construction), the runner integration (serial and
 process-pool), and the acceptance property for the bundled corpus:
 every file schedules validator-clean and byte-identically across all
-four ``REPRO_HOTPATH`` engine modes, under every scheduler.
+three ``REPRO_HOTPATH`` engine modes, under every scheduler.
 """
 
 import os
@@ -29,7 +29,7 @@ from repro.workloads.suites import random_graph
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_DIR = os.path.join(REPO_ROOT, "examples", "graphs")
 
-MODES = ("legacy", "fast", "incremental", "array")
+MODES = ("legacy", "incremental", "array")
 
 
 @pytest.fixture
@@ -189,6 +189,6 @@ class TestCorpus:
                 schedule = _SCHEDULERS[algorithm](system)
                 validate_schedule(schedule)
                 blobs[mode] = schedule_to_json(schedule)
-            assert blobs["legacy"] == blobs["fast"] == blobs["incremental"], (
+            assert blobs["legacy"] == blobs["incremental"] == blobs["array"], (
                 f"{filename}/{algorithm}: engine modes diverged"
             )

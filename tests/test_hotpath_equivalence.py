@@ -1,4 +1,4 @@
-"""Equivalence regression tests for the fast and incremental engines.
+"""Equivalence regression tests for the indexed and array engines.
 
 Two layers of protection for the hot-path overhauls (indexed timelines,
 memoized routing/costs, bound-based candidate pruning, change-driven
@@ -9,8 +9,8 @@ incremental settle, undo-log rollback):
   route modes. Any change to scheduling arithmetic, however subtle,
   trips these. All arithmetic involved is deterministic IEEE-754, so the
   pins are machine-independent.
-* **legacy/fast/incremental cross-checks** — the same cell scheduled
-  under all four hot-path modes must serialize to byte-identical JSON
+* **legacy/incremental/array cross-checks** — the same cell scheduled
+  under all three hot-path modes must serialize to byte-identical JSON
   (every task time and every message hop), on uniform *and*
   heterogeneous link models (full-duplex, bandwidth-skewed torus and
   fat-tree cells).
@@ -31,7 +31,7 @@ from repro.objectives import evaluate_objectives
 from repro.schedule.io import schedule_to_json
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 
-MODES = ("legacy", "fast", "incremental", "array")
+MODES = ("legacy", "incremental", "array")
 
 
 @pytest.fixture
@@ -199,7 +199,7 @@ class TestEngineModesIdentical:
             set_hotpath_mode(mode)
             system = build_cell_system(_cell(suite))
             blobs[mode] = schedule_to_json(_SCHEDULERS[algorithm](system))
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
+        assert (blobs["legacy"] == blobs["incremental"]
                 == blobs["array"])
 
     @pytest.mark.parametrize("route_mode", ["incremental", "shortest"])
@@ -213,7 +213,7 @@ class TestEngineModesIdentical:
                 BSAOptions(migration_scope="neighbors", route_mode=route_mode),
             )
             blobs[mode] = schedule_to_json(sched)
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
+        assert (blobs["legacy"] == blobs["incremental"]
                 == blobs["array"])
 
     def test_paper_example_identical(self, both_modes):
@@ -221,15 +221,15 @@ class TestEngineModesIdentical:
         for mode in MODES:
             set_hotpath_mode(mode)
             blobs[mode] = schedule_to_json(run_paper_example()["schedule"])
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
+        assert (blobs["legacy"] == blobs["incremental"]
                 == blobs["array"])
 
     def test_golden_cell_n1000(self, both_modes):
         """The n=1000 golden cell: array and incremental byte-identical
-        AND pinned to the exact makespan. Legacy/fast are excluded here
+        AND pinned to the exact makespan. Legacy is excluded here
         only for wall-clock reasons — the ``MODES`` sweeps above pin
-        their equivalence on every differential cell, so the
-        incremental blob transitively anchors all four modes."""
+        its equivalence on every differential cell, so the
+        incremental blob transitively anchors all three modes."""
         blobs = {}
         for mode in ("incremental", "array"):
             set_hotpath_mode(mode)
@@ -255,14 +255,14 @@ class TestEngineModesIdentical:
                 sched, "makespan,energy,reliability,throughput"
             )
             blobs[mode] = json.dumps(values, sort_keys=True)
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
+        assert (blobs["legacy"] == blobs["incremental"]
                 == blobs["array"])
 
     def test_rejection_heavy_cell_identical(self, both_modes):
         """A communication-heavy cell whose BSA run rejects many
-        migrations: exercises the undo-log rollback (incremental), the
-        shallow-snapshot restore (fast) and the deep-copy restore
-        (legacy) against each other on the same commit sequence."""
+        migrations: exercises the undo-log rollback (incremental and
+        array) and the deep-copy restore (legacy) against each other on
+        the same commit sequence."""
         from repro.core.bsa import BSAScheduler
 
         cell = Cell("regular", "gauss", 60, 0.1, "hypercube", "bsa",
@@ -274,7 +274,7 @@ class TestEngineModesIdentical:
             scheduler = BSAScheduler(build_cell_system(cell), BSAOptions())
             blobs[mode] = schedule_to_json(scheduler.run())
             rejected[mode] = scheduler.stats.n_rejected_migrations
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
+        assert (blobs["legacy"] == blobs["incremental"]
                 == blobs["array"])
         assert len(set(rejected.values())) == 1
         # the cell must keep exercising rollback; reseed it if this trips
@@ -283,7 +283,7 @@ class TestEngineModesIdentical:
 #: golden Pareto cell (PR 9): fat-tree n=100 gauss, every scheduler
 #: scored on all four objectives. The front and every objective value
 #: are pinned exactly; the serialized artifact must be byte-identical
-#: across all four engine modes.
+#: across all three engine modes.
 CELL_PARETO = Cell("regular", "gauss", 100, 1.0, "fattree", "bsa",
                    n_procs=8, graph_seed=2, system_seed=2)
 
@@ -352,5 +352,5 @@ class TestGoldenPareto:
         for mode in MODES:
             set_hotpath_mode(mode)
             blobs[mode] = pareto_to_json(self._run())
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
+        assert (blobs["legacy"] == blobs["incremental"]
                 == blobs["array"])

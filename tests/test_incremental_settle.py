@@ -102,9 +102,10 @@ class TestIncrementalSettleEquivalence:
     def test_direct_commit_sequence_identical(self, paper_system,
                                               incremental_mode):
         """Hand-driven migrations (outside BSA) settle incrementally via
-        the anonymous transaction and stay byte-identical to fast mode."""
+        the anonymous transaction and stay byte-identical to the legacy
+        full-settle oracle."""
         blobs = {}
-        for mode in ("fast", "incremental", "array"):
+        for mode in ("legacy", "incremental", "array"):
             set_hotpath_mode(mode)
             _, sched = serial_injection(paper_system)
             for task, dst in [("T5", 3), ("T1", 2), ("T5", 0)]:
@@ -112,7 +113,7 @@ class TestIncrementalSettleEquivalence:
                 commit_migration(sched, plan)
             validate_schedule(sched)
             blobs[mode] = schedule_to_json(sched)
-        assert blobs["fast"] == blobs["incremental"] == blobs["array"]
+        assert blobs["legacy"] == blobs["incremental"] == blobs["array"]
 
     def test_zero_cost_edge_graph_takes_full_pass(self, incremental_mode):
         """Graphs with a 0-cost message fall back to the full pass (the
@@ -134,12 +135,12 @@ class TestIncrementalSettleEquivalence:
 
         assert build().graph.has_zero_cost_edge()
         blobs = {}
-        for mode in ("fast", "incremental", "array"):
+        for mode in ("legacy", "incremental", "array"):
             set_hotpath_mode(mode)
             sched = schedule_bsa(build(), BSAOptions())
             validate_schedule(sched)
             blobs[mode] = schedule_to_json(sched)
-        assert blobs["fast"] == blobs["incremental"] == blobs["array"]
+        assert blobs["legacy"] == blobs["incremental"] == blobs["array"]
 
 
 class TestUndoLogRollback:

@@ -6,7 +6,7 @@ link exclusivity, contiguous routes, store-and-forward timing, precedence.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -208,6 +208,9 @@ def _disjointify(ivs):
 
 @settings(max_examples=200, deadline=None)
 @given(ivs=interval_lists, ready=st.floats(0, 1500), dur=st.floats(0.1, 100))
+# a gap that fits only up to float rounding at the EPS boundary: the fit
+# test must be the same float expression the overlap check evaluates
+@example(ivs=[Interval(1.0, 2.0)], ready=1e-09, dur=1.0)
 def test_earliest_gap_sound(ivs, ready, dur):
     busy = _disjointify(ivs)
     start = earliest_gap(busy, ready, dur)

@@ -292,7 +292,7 @@ class TestPipeline:
         try:
             set_hotpath_mode("legacy")
             first = execute(self.REQ, cache=cache)
-            set_hotpath_mode("fast")
+            set_hotpath_mode("incremental")
             second = execute(self.REQ, cache=cache)
         finally:
             set_hotpath_mode(initial)

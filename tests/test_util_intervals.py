@@ -187,6 +187,27 @@ class TestTimeline:
                 trial, ready, duration
             )
 
+    def test_eps_boundary_fit_agrees_with_overlap_check(self):
+        """A gap that fits only up to float rounding at the EPS boundary
+        (ready 1e-9, duration 1 before a reservation at 1.0) must be
+        refused by every gap search, the vectorized tail included: the
+        returned slot may never overlap a reservation by more than EPS.
+        Sixty tiny reservations push the boundary gap past the array
+        timeline's scalar prefix."""
+        from repro.schedule.arraystate import ArrayTimeline
+
+        busy = [Interval(k * 1e-11, k * 1e-11 + 5e-12) for k in range(59)]
+        busy += [Interval(9e-10, 1e-9), Interval(1.0, 2.0)]
+        for found in (
+            earliest_gap(busy, 0.0, 1.0),
+            Timeline.from_items(busy).earliest_gap(0.0, 1.0),
+            Timeline.from_items(busy).earliest_gap_merged(0.0, 1.0, [], []),
+            ArrayTimeline.from_items(busy).earliest_gap(0.0, 1.0),
+        ):
+            assert found == 2.0
+            assert not any(Interval(found, found + 1.0).overlaps(b)
+                           for b in busy)
+
     def test_last_finish_and_len(self):
         tl = Timeline.from_items([Interval(0, 5), Interval(7, 9)])
         assert len(tl) == 2
@@ -209,32 +230,31 @@ class TestHotpathMode:
         assert hotpath_mode() == prev
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_hotpath_mode("turbo")
+        for mode in ("turbo", "fast"):
+            with pytest.raises(ValueError):
+                set_hotpath_mode(mode)
 
-    def test_incremental_implies_fast(self):
-        from repro.util.intervals import array_enabled, incremental_enabled
+    def test_mode_predicates(self):
+        from repro.util.intervals import array_enabled
 
         prev = hotpath_mode()
         try:
             set_hotpath_mode("incremental")
-            assert fast_path_enabled() and incremental_enabled()
-            assert not array_enabled()
-            set_hotpath_mode("fast")
-            assert fast_path_enabled() and not incremental_enabled()
-            assert not array_enabled()
+            assert fast_path_enabled() and not array_enabled()
             set_hotpath_mode("legacy")
-            assert not fast_path_enabled() and not incremental_enabled()
-            assert not array_enabled()
+            assert not fast_path_enabled() and not array_enabled()
         finally:
             set_hotpath_mode(prev)
 
     def test_array_without_numpy_raises_configuration_error(self):
         """Requesting the array engine on a numpy-free install must fail
         with a clean ConfigurationError — at set_hotpath_mode() and at
-        env-var import time alike — while the other three modes keep
+        env-var import time alike — while the other two modes keep
         working. numpy IS installed here, so a child process blocks its
-        import via a meta_path finder before touching repro."""
+        import via a meta_path finder before touching repro. Stage 2
+        also checks that an unknown ``REPRO_HOTPATH`` (the retired
+        ``fast`` mode, a typo) fails the same way, naming the valid
+        modes, instead of silently running the default engine."""
         import os
         import subprocess
         import sys
@@ -258,7 +278,7 @@ class TestHotpathMode:
             )
 
             # numpy-free modes stay fully selectable
-            for mode in ("incremental", "fast", "legacy"):
+            for mode in ("incremental", "legacy"):
                 set_hotpath_mode(mode)
             try:
                 set_hotpath_mode("array")
@@ -285,6 +305,7 @@ class TestHotpathMode:
         assert "STAGE1-OK" in done.stdout
 
         env_code = textwrap.dedent("""
+            import os
             import sys
 
             class _BlockNumpy:
@@ -298,33 +319,37 @@ class TestHotpathMode:
                 import repro.util.intervals  # noqa: F401
             except Exception as exc:
                 assert type(exc).__name__ == "ConfigurationError", exc
-                assert "numpy" in str(exc), exc
+                assert os.environ["EXPECT"] in str(exc), exc
                 print("STAGE2-OK")
             else:
                 raise SystemExit(
-                    "REPRO_HOTPATH=array import succeeded without numpy"
+                    f"REPRO_HOTPATH={os.environ['REPRO_HOTPATH']} import "
+                    "succeeded"
                 )
         """)
-        env["REPRO_HOTPATH"] = "array"
-        done = subprocess.run(
-            [sys.executable, "-c", env_code],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert done.returncode == 0, done.stderr
-        assert "STAGE2-OK" in done.stdout
+        for value, expect in (("array", "numpy"),
+                              ("fast", "valid modes"),
+                              ("incremnetal", "valid modes")):
+            env["REPRO_HOTPATH"] = value
+            env["EXPECT"] = expect
+            done = subprocess.run(
+                [sys.executable, "-c", env_code],
+                capture_output=True, text=True, env=env,
+                cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            )
+            assert done.returncode == 0, (value, done.stderr)
+            assert "STAGE2-OK" in done.stdout, value
 
-    def test_array_implies_incremental_and_fast(self):
+    def test_array_implies_fast_path(self):
         """The array engine is the incremental engine on flat arrays:
-        everything gated on the incremental or fast predicates (undo-log
+        everything gated on the fast-path predicate (undo-log
         transactions, memoized routes, settle seeding) must stay on."""
-        from repro.util.intervals import array_enabled, incremental_enabled
+        from repro.util.intervals import array_enabled
 
         prev = hotpath_mode()
         try:
             set_hotpath_mode("array")
             assert array_enabled()
-            assert incremental_enabled()
             assert fast_path_enabled()
         finally:
             set_hotpath_mode(prev)

@@ -5,7 +5,7 @@ randomized sweep, the runtime→cost and shared-file→comm mappings on
 foreign-style documents, strict error paths, sniffing, and the
 acceptance property for the bundled corpus samples: both import,
 schedule validator-clean under all five schedulers, and serialize
-byte-identically across all four ``REPRO_HOTPATH`` engine modes.
+byte-identically across all three ``REPRO_HOTPATH`` engine modes.
 """
 
 import os
@@ -40,7 +40,7 @@ CORPUS_DIR = os.path.join(REPO_ROOT, "examples", "corpus")
 DAX_SAMPLE = os.path.join(CORPUS_DIR, "montage_sample.dax")
 WFC_SAMPLE = os.path.join(CORPUS_DIR, "epigenomics_sample.wfcommons.json")
 
-MODES = ("legacy", "fast", "incremental", "array")
+MODES = ("legacy", "incremental", "array")
 
 
 @pytest.fixture
@@ -364,6 +364,6 @@ class TestCorpusSamplesSchedule:
                 schedule = _SCHEDULERS[algorithm](system)
                 validate_schedule(schedule)
                 blobs[mode] = schedule_to_json(schedule)
-            assert blobs["legacy"] == blobs["fast"] == blobs["incremental"], (
+            assert blobs["legacy"] == blobs["incremental"] == blobs["array"], (
                 f"{os.path.basename(path)}/{algorithm}: engine modes diverged"
             )
