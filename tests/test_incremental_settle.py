@@ -199,6 +199,48 @@ class TestUndoLogRollback:
 
 
 class TestSettleIncrementalDirect:
+    def test_settle_array_is_an_alias(self):
+        """The array engine has no settle loop of its own: settle_array
+        is settle_incremental, under both names callers resolve it by."""
+        import importlib
+
+        import repro.core.migration as migration
+
+        # repro.schedule re-exports the settle() function under the
+        # submodule's name, so fetch the module itself
+        settle_mod = importlib.import_module("repro.schedule.settle")
+        assert settle_mod.settle_array is settle_incremental
+        assert migration.settle_array is settle_incremental
+        assert migration.settle_incremental is settle_incremental
+
+    @pytest.mark.parametrize("mode, incremental_calls", [
+        ("legacy", False), ("incremental", True), ("array", True),
+    ])
+    def test_commit_dispatches_one_settle(self, paper_system, monkeypatch,
+                                          mode, incremental_calls):
+        """commit_migration settles through settle_incremental in the
+        incremental and array modes alike, and through the full pass
+        only in legacy mode."""
+        import repro.core.migration as migration
+
+        calls = []
+        monkeypatch.setattr(
+            migration, "settle",
+            lambda s: (calls.append("full"), settle(s))[1])
+        monkeypatch.setattr(
+            migration, "settle_incremental",
+            lambda s, t, h: (calls.append("incremental"),
+                             settle_incremental(s, t, h))[1])
+        prev = hotpath_mode()
+        try:
+            set_hotpath_mode(mode)
+            _, sched = serial_injection(paper_system)
+            commit_migration(sched, evaluate_migration(sched, "T5", 3))
+        finally:
+            set_hotpath_mode(prev)
+        validate_schedule(sched)
+        assert calls == ["incremental" if incremental_calls else "full"]
+
     def test_empty_seeds_is_noop(self, paper_system):
         _, sched = serial_injection(paper_system)
         before = _state_fingerprint(sched)
