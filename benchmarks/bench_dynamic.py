@@ -11,7 +11,7 @@ engine buys over the replan oracle:
   re-places the whole tail, so repair should win the clock;
 * **determinism** — every scenario is run twice from a fresh system and
   the deterministic event logs must be byte-identical, and once per
-  hot-path mode (legacy / incremental / array) with the same
+  hot-path mode (legacy / incremental) with the same
   assertion.
 
 The prefix-intact and validator-clean invariants are enforced inside
@@ -48,7 +48,7 @@ from repro.util.intervals import set_hotpath_mode
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_dynamic.json")
 
-MODES = ("legacy", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 #: (app, size, topology, n_procs, scenario) — scenario tokens are
 #: f<procs>l<links>a<arrivals>s<seed>, parse_scenario's grammar

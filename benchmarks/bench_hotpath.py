@@ -1,24 +1,21 @@
-"""Hot-path speedup benchmark: legacy vs incremental vs array.
+"""Hot-path speedup benchmark: legacy vs incremental.
 
 Runs a Figure-3-style sweep (regular + random graphs x granularities x
-the paper's four 16-processor topologies x {BSA, DLS}) three times —
-with the original linear-rescan hot path (``legacy``), the indexed /
-memoized / pruned engine with change-driven settle and undo-log
-rollback (``incremental``), and the flat-array / vectorized-candidate
-engine (``array``) — and:
+the paper's four 16-processor topologies x {BSA, DLS}) twice — with the
+original linear-rescan hot path (``legacy``) and with the indexed /
+memoized / screened engine with change-driven settle and undo-log
+rollback (``incremental``) — and:
 
-* asserts every schedule is **byte-identical** across all three modes
+* asserts every schedule is **byte-identical** across both modes
   (serializer JSON compared cell by cell, which covers every task time
   and every message hop);
-* reports the single-process speedups (legacy->incremental and
-  legacy->array);
+* reports the single-process speedup (legacy->incremental);
 * runs the **settle/rollback microbench**: end-to-end BSA on n>=100-task
-  workloads, legacy vs incremental vs array — what the indexed engine,
-  the change-driven settle, the undo-log rollback, and the array
-  rewrite buy on the workloads they target;
-* records the **scaling curve** (n=100 -> 2000, incremental vs array)
-  and enforces the floor that array wins at n >= 1000 — the scale the
-  array engine exists for;
+  workloads, legacy vs incremental — what the indexed engine, the
+  candidate screen, the change-driven settle and the undo-log rollback
+  buy on the workloads they target;
+* records the **scaling curve** (n=100 -> 2000): the incremental
+  engine's BSA wall time and validated makespan per size;
 * optionally measures parallel-runner scaling (``--jobs N`` wall clock
   vs serial) on the same sweep;
 * writes everything to ``BENCH_hotpath.json`` (repo root by default) so
@@ -52,7 +49,7 @@ from repro.util.intervals import set_hotpath_mode
 
 TOPOLOGIES = ("ring", "hypercube", "clique", "random")
 ALGORITHMS = ("bsa", "dls")
-MODES = ("legacy", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json")
 
@@ -111,8 +108,8 @@ def _schedule(cell: Cell):
 
 
 def run_single_process(cells: List[Cell]) -> Dict:
-    """Time every cell under all three modes; verify bit-identical
-    schedules across the whole mode set."""
+    """Time every cell under both modes; verify bit-identical
+    schedules."""
     totals = {m: 0.0 for m in MODES}
     per_topology: Dict[str, Dict[str, float]] = {
         t: {m: 0.0 for m in MODES} for t in TOPOLOGIES
@@ -132,8 +129,7 @@ def run_single_process(cells: List[Cell]) -> Dict:
             mismatches.append(cell.key())
         sys.stderr.write(
             f"\r[{i + 1}/{len(cells)}] legacy {totals['legacy']:.1f}s "
-            f"incremental {totals['incremental']:.1f}s "
-            f"array {totals['array']:.1f}s"
+            f"incremental {totals['incremental']:.1f}s"
         )
     sys.stderr.write("\n")
     set_hotpath_mode("incremental")
@@ -141,23 +137,16 @@ def run_single_process(cells: List[Cell]) -> Dict:
         "cells": len(cells),
         "legacy_s": round(totals["legacy"], 3),
         "incremental_s": round(totals["incremental"], 3),
-        "array_s": round(totals["array"], 3),
         "speedup_incremental": round(totals["legacy"] / totals["incremental"], 2),
-        "speedup_array": round(totals["legacy"] / totals["array"], 2),
         "identical_schedules": not mismatches,
         "mismatched_cells": mismatches,
         "per_topology": {
             t: {
                 "legacy_s": round(v["legacy"], 3),
                 "incremental_s": round(v["incremental"], 3),
-                "array_s": round(v["array"], 3),
                 "speedup_incremental": (
                     round(v["legacy"] / v["incremental"], 2)
                     if v["incremental"] else None
-                ),
-                "speedup_array": (
-                    round(v["legacy"] / v["array"], 2)
-                    if v["array"] else None
                 ),
             }
             for t, v in per_topology.items()
@@ -166,13 +155,11 @@ def run_single_process(cells: List[Cell]) -> Dict:
 
 
 def run_settle_microbench(preset: str, reps: int = 3) -> Dict:
-    """End-to-end BSA, legacy vs incremental vs array, n>=100 workloads.
+    """End-to-end BSA, legacy vs incremental, n>=100 workloads.
 
     Incremental's delta over legacy is the indexed planning substrate,
-    the candidate pruning, the change-driven settle engine and the
-    undo-log rollback replacing per-commit deep copies; array's delta
-    over incremental is the flat-array timelines plus the vectorized
-    candidate masks. Identity is asserted via the serializer like the
+    the candidate screen, the change-driven settle engine and the
+    undo-log rollback replacing per-commit deep copies. Identity is asserted via the serializer like the
     main sweep. Each workload is timed ``reps`` times per mode
     (interleaved) and the minimum kept — the bench is
     contention-noise-prone on shared CI boxes.
@@ -194,98 +181,69 @@ def run_settle_microbench(preset: str, reps: int = 3) -> Dict:
                     blobs[key] = schedule_to_json(sched)
     set_hotpath_mode("incremental")
     per_workload = []
-    tot = {"legacy": 0.0, "incremental": 0.0, "array": 0.0}
+    tot = {"legacy": 0.0, "incremental": 0.0}
     identical = True
     for suite, app, size, gran in workloads:
         g = best[(suite, app, size, "legacy")]
         i = best[(suite, app, size, "incremental")]
-        a = best[(suite, app, size, "array")]
         tot["legacy"] += g
         tot["incremental"] += i
-        tot["array"] += a
         same = (blobs[(suite, app, size, "legacy")]
-                == blobs[(suite, app, size, "incremental")]
-                == blobs[(suite, app, size, "array")])
+                == blobs[(suite, app, size, "incremental")])
         identical = identical and same
         per_workload.append({
             "workload": f"{app}-n{size}",
             "n_tasks": size,
             "legacy_s": round(g, 3),
             "incremental_s": round(i, 3),
-            "array_s": round(a, 3),
             "speedup": round(g / i, 2),
-            "speedup_array": round(g / a, 2),
             "identical": same,
         })
     return {
         "workloads": per_workload,
         "legacy_s": round(tot["legacy"], 3),
         "incremental_s": round(tot["incremental"], 3),
-        "array_s": round(tot["array"], 3),
         "speedup": round(tot["legacy"] / tot["incremental"], 2),
-        "speedup_array": round(tot["legacy"] / tot["array"], 2),
         "identical_schedules": identical,
     }
 
 
-#: scaling-curve sizes: the array engine targets n >= 1000; the curve
-#: records where the crossover happens, not just the endpoints
+#: scaling-curve sizes: where BSA wall time goes as n grows
 SCALING_SIZES = {
     "default": (100, 250, 500, 1000, 2000),
     "smoke": (100, 1000),
 }
 
-#: the floor the curve enforces: at n >= this, array must beat
-#: incremental outright (same schedules, byte-identical)
-SCALING_FLOOR_N = 1000
-
 
 def run_scaling_curve(preset: str, reps: int = 2) -> Dict:
-    """BSA wall clock, incremental vs array, n=100 -> 2000.
+    """BSA wall clock of the incremental engine, n=100 -> 2000.
 
     One gauss workload per size on the 16-processor hypercube (the
-    microbench cell family). Modes are interleaved rep by rep and the
-    per-mode minimum kept. The curve is the tentpole's scaling story:
-    array overhead loses small, flat arrays win at n >= 1000 — so the
-    bench fails outright if array does not beat incremental at every
-    size >= ``SCALING_FLOOR_N``.
+    microbench cell family), best of ``reps``. Each point records the
+    validated schedule's makespan; the n=1000 point is the cell whose
+    makespan ``tests/test_hotpath_equivalence.py`` pins. Legacy is left
+    out for wall-clock reasons: the sweep and the microbench above
+    already assert byte identity against it.
     """
+    set_hotpath_mode("incremental")
     points = []
-    floor_ok = True
     for size in SCALING_SIZES[preset]:
         cell = Cell("regular", "gauss", size, 1.0, "hypercube", "bsa",
                     n_procs=16, graph_seed=1, system_seed=1)
-        best = {"incremental": float("inf"), "array": float("inf")}
-        blobs = {}
+        best = float("inf")
         for rep in range(reps):
-            for mode in ("incremental", "array"):
-                set_hotpath_mode(mode)
-                sched, elapsed = _schedule(cell)
-                best[mode] = min(best[mode], elapsed)
-                if rep == 0:
-                    validate_schedule(sched)
-                    blobs[mode] = schedule_to_json(sched)
-        identical = blobs["incremental"] == blobs["array"]
-        speedup = best["incremental"] / best["array"]
-        if size >= SCALING_FLOOR_N and (speedup < 1.0 or not identical):
-            floor_ok = False
+            sched, elapsed = _schedule(cell)
+            best = min(best, elapsed)
+            if rep == 0:
+                validate_schedule(sched)
+                makespan = sched.schedule_length()
         points.append({
             "n_tasks": size,
-            "incremental_s": round(best["incremental"], 3),
-            "array_s": round(best["array"], 3),
-            "speedup_array": round(speedup, 2),
-            "identical": identical,
+            "incremental_s": round(best, 3),
+            "makespan": makespan,
         })
-        sys.stderr.write(
-            f"\rscaling n={size}: incremental {best['incremental']:.2f}s "
-            f"array {best['array']:.2f}s = {speedup:.2f}x\n"
-        )
-    set_hotpath_mode("incremental")
-    return {
-        "points": points,
-        "floor_n": SCALING_FLOOR_N,
-        "floor_ok": floor_ok,
-    }
+        sys.stderr.write(f"\rscaling n={size}: incremental {best:.2f}s\n")
+    return {"points": points}
 
 
 def run_obs_guard(preset: str, reps: int = 3) -> Dict:
@@ -429,16 +387,14 @@ def main(argv=None) -> int:
     }
     sp = report["single_process"]
     print(f"single-process: legacy {sp['legacy_s']}s -> incremental "
-          f"{sp['incremental_s']}s = {sp['speedup_incremental']}x -> array "
-          f"{sp['array_s']}s "
-          f"= {sp['speedup_array']}x, identical={sp['identical_schedules']}")
+          f"{sp['incremental_s']}s = {sp['speedup_incremental']}x, "
+          f"identical={sp['identical_schedules']}")
 
     report["settle_microbench"] = run_settle_microbench(args.preset)
     mb = report["settle_microbench"]
     print(f"settle/rollback microbench ({len(mb['workloads'])} BSA workloads, "
           f"n>=100): legacy {mb['legacy_s']}s -> incremental {mb['incremental_s']}s "
-          f"= {mb['speedup']}x -> array {mb['array_s']}s "
-          f"= {mb['speedup_array']}x, identical={mb['identical_schedules']}")
+          f"= {mb['speedup']}x, identical={mb['identical_schedules']}")
 
     report["obs_guard"] = run_obs_guard(args.preset)
     og = report["obs_guard"]
@@ -449,10 +405,9 @@ def main(argv=None) -> int:
     report["scaling_curve"] = run_scaling_curve(args.preset)
     sc = report["scaling_curve"]
     curve = ", ".join(
-        f"n={p['n_tasks']}: {p['speedup_array']}x" for p in sc["points"]
+        f"n={p['n_tasks']}: {p['incremental_s']}s" for p in sc["points"]
     )
-    print(f"scaling curve (incremental -> array): {curve}; "
-          f"floor(n>={sc['floor_n']}) ok={sc['floor_ok']}")
+    print(f"scaling curve (incremental): {curve}")
 
     if args.jobs and args.jobs > 1:
         usable = report["effective_cpus"]
@@ -480,14 +435,6 @@ def main(argv=None) -> int:
 
     if not sp["identical_schedules"] or not mb["identical_schedules"]:
         print("FAIL: schedules differ between modes", file=sys.stderr)
-        return 1
-    if not all(p["identical"] for p in sc["points"]):
-        print("FAIL: scaling-curve schedules differ between modes",
-              file=sys.stderr)
-        return 1
-    if not sc["floor_ok"]:
-        print(f"FAIL: array mode does not beat incremental at "
-              f"n >= {sc['floor_n']}", file=sys.stderr)
         return 1
     if not og["ok"]:
         print("FAIL: observability guard violated (byte-identity or "

@@ -6,7 +6,7 @@ the same cell ``tests/test_obs.py`` goldens) under every
 non-zero counters per mode. The schedules are byte-identical across
 modes by contract; the counters are deliberately *not* — they profile
 each engine's work (the legacy engine never runs an incremental
-settle, only the array engine touches the route trie), which is
+settle or walks the route trie), which is
 exactly what makes them useful engine regression pins.
 
 Also re-checks the two determinism contracts the counters carry:
@@ -77,11 +77,7 @@ def main(argv=None) -> int:
 
     per_mode: Dict[str, Dict[str, int]] = {}
     for mode in HOTPATH_MODES:
-        try:
-            set_hotpath_mode(mode)
-        except Exception as exc:  # array without numpy
-            print(f"mode {mode}: skipped ({exc})", file=sys.stderr)
-            continue
+        set_hotpath_mode(mode)
         per_mode[mode] = counters_for([CELL])
         print(f"mode {mode:>11}: " + ", ".join(
             f"{k.split('.', 1)[1]}={v}" for k, v in per_mode[mode].items()

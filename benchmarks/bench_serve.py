@@ -46,7 +46,7 @@ from repro.util.intervals import hotpath_mode
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_serve.json")
 
 #: (label, request payload) — n=100 is the paper-scale interactive case,
-#: n=1000 is the array-engine scale where compute dominates transport
+#: n=1000 is the scale where compute dominates transport
 CASES = {
     "smoke": [
         ("n100", {"workload": "gauss", "size": 100, "topology": "ring",

@@ -205,9 +205,9 @@ def commit_migration(
 ) -> None:
     """Apply ``plan`` to the schedule and settle times.
 
-    In the indexed hot-path modes (``incremental`` and ``array``) the
-    final settle recomputes only the affected cone, seeded by the
-    transaction's mutation log (an anonymous transaction is opened if
+    In the indexed hot-path mode (``incremental``) the final settle
+    recomputes only the affected cone, seeded by the transaction's
+    mutation log (an anonymous transaction is opened if
     the caller didn't provide one); the schedule must therefore be
     settled on entry, which every BSA state is. ``legacy`` runs the full
     settle pass.

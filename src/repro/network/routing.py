@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.network.topology import Link, Proc, Topology, link_id
+from repro.obs import counters as _obs
 from repro.util.intervals import fast_path_enabled
 
 
@@ -173,6 +174,52 @@ def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
         path = _bfs_path(topology, src, dst)
         cache[(src, dst)] = path
     return path
+
+
+def shortest_path_trie(topology: Topology, src: Proc) -> tuple:
+    """The BFS routes from ``src`` to every processor, merged by shared
+    (parent, hop) prefix; memoized per topology beside the path cache.
+
+    Returns ``(parents, chans, lids, dst_node)`` parallel lists: node
+    ``k`` is one directed hop whose message leaves the finish of node
+    ``parents[k]`` (or the producer, for roots ``-1``), reserves on
+    channel ``chans[k]`` and costs the edge's hop duration on canonical
+    link ``lids[k]``; ``dst_node[d]`` is the terminal node of the route
+    to ``d`` (``-1`` for ``src`` itself). Identical prefixes produce
+    identical float chains, so merging them loses nothing. Shared —
+    callers must not mutate the lists.
+    """
+    cache: Dict[Proc, tuple] = topology.__dict__.setdefault("_trie_cache", {})
+    hit = cache.get(src)
+    if hit is not None:
+        if _obs.ACTIVE:
+            _obs.inc("route.trie_hits")
+        return hit
+    if _obs.ACTIVE:
+        _obs.inc("route.trie_misses")
+    channel_of = topology._channel
+    parents: List[int] = []
+    chans: List[Link] = []
+    lids: List[Link] = []
+    dst_node = [-1] * topology.n_procs
+    index: Dict[tuple, int] = {}
+    for dst in topology.processors:
+        if dst == src:
+            continue
+        node = -1
+        path = shortest_path(topology, src, dst)
+        for a, b in zip(path, path[1:]):
+            key = (node, a, b)
+            nxt = index.get(key)
+            if nxt is None:
+                nxt = index[key] = len(parents)
+                parents.append(node)
+                chans.append(channel_of[(a, b)])
+                lids.append(link_id(a, b))
+            node = nxt
+        dst_node[dst] = node
+    hit = cache[src] = (parents, chans, lids, dst_node)
+    return hit
 
 
 def _bfs_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:

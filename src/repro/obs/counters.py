@@ -74,9 +74,9 @@ COUNTERS: Dict[str, str] = {
     "txn.rollbacks":
         "schedule transactions rolled back via the undo log",
     "route.trie_hits":
-        "array-engine route-trie cache hits",
+        "shortest-path route-trie cache hits",
     "route.trie_misses":
-        "array-engine route-trie builds (cache misses)",
+        "shortest-path route-trie builds (cache misses)",
     "cache.hits":
         "ResultCache entries served (fresh provenance)",
     "cache.misses":

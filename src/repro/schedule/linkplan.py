@@ -10,7 +10,7 @@ the contention substrate stays identical across algorithms.
 
 Two implementations, selected by the process-wide hot-path mode:
 
-* *indexed* (modes ``incremental`` and ``array``) —
+* *indexed* (mode ``incremental``) —
   query the schedule's cached :class:`Timeline` with an indexed jump,
   merged on the fly (two-pointer walk) with the planner's small
   per-link tentative-reservation lists; nothing is copied or re-sorted;
@@ -26,10 +26,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Tuple
 
+from repro.network.routing import shortest_path_trie
 from repro.network.topology import Link, Proc, link_id
 from repro.schedule.events import Edge
 from repro.schedule.schedule import Schedule
-from repro.util.intervals import Interval, earliest_gap, fast_path_enabled
+from repro.util.intervals import (
+    Interval,
+    Timeline,
+    earliest_gap,
+    fast_path_enabled,
+)
 
 
 class LinkPlanner:
@@ -150,6 +156,52 @@ def arrival_lower_bound(
         if f > lb:
             lb = f
     return lb
+
+
+def arrival_bounds(
+    sched: Schedule,
+    edge: Edge,
+    src: Proc,
+    finish: float,
+    tl_memo: Dict[Link, Timeline],
+) -> List[float]:
+    """Lower bound on ``edge``'s arrival at *every* processor if its
+    consumer migrated there, walking committed link timelines only.
+
+    The message leaves processor ``src`` at ``finish`` and follows the
+    shortest-path trie (:func:`~repro.network.routing.shortest_path_trie`),
+    one earliest-gap query per trie node. Under the insertion slot
+    policy ``earliest_gap`` is monotone nondecreasing in both the ready
+    time and the reservation set — extra reservations can only break a
+    fit or raise the running maximum — and the real plan walks the same
+    shortest paths with the same hop costs against committed-plus-
+    tentative load, so each entry lower-bounds the planned arrival hop by
+    hop, bit-equal to it whenever no tentative reservation shares a
+    channel with the message. Only valid for shortest routes under the
+    insertion policy: the append policy's "last reservation in start
+    order" can move *earlier* once tentative hops are layered on.
+
+    ``tl_memo`` (channel -> timeline) skips the schedule's stamped
+    timeline-cache probe on repeat channels; callers batching several
+    walks against one committed state share one dict across them.
+    """
+    system = sched.system
+    parents, chans, lids, dst_node = shortest_path_trie(system.topology, src)
+    # hot path: probe the memoized hop costs directly, as walk_path does
+    comm_cache = system._comm_cache
+    comm_cost = system.comm_cost
+    link_timeline = sched.link_timeline
+    arr: List[float] = []
+    for p, ch, lid in zip(parents, chans, lids):
+        ready = finish if p < 0 else arr[p]
+        c = comm_cache.get((edge, lid))
+        if c is None:
+            c = comm_cost(edge, lid)
+        tl = tl_memo.get(ch)
+        if tl is None:
+            tl = tl_memo[ch] = link_timeline(ch)
+        arr.append(tl.earliest_gap(ready, c) + c)
+    return [finish if n < 0 else arr[n] for n in dst_node]
 
 
 def slot_start(sched: Schedule, proc: Proc, ready: float, duration: float,

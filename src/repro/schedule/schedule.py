@@ -27,21 +27,7 @@ from repro.network.system import HeterogeneousSystem
 from repro.obs import counters as _obs
 from repro.network.topology import Link, Proc, link_id
 from repro.schedule.events import Edge, MessageHop, Route, TaskSlot
-from repro.util.intervals import Interval, Timeline, array_enabled
-
-
-def _timeline_class():
-    """Timeline implementation for the active engine mode.
-
-    The array engine swaps in :class:`~repro.schedule.arraystate.
-    ArrayTimeline` (vectorized long-tail gap search); the import stays
-    lazy so every other mode never touches numpy.
-    """
-    if array_enabled():
-        from repro.schedule.arraystate import ArrayTimeline
-
-        return ArrayTimeline
-    return Timeline
+from repro.util.intervals import Interval, Timeline
 
 
 class Schedule:
@@ -153,7 +139,7 @@ class Schedule:
         if hit is not None and hit[0] == stamp:
             return hit[1]
         slots = self.slots
-        tl = _timeline_class().from_items(
+        tl = Timeline.from_items(
             [slots[t] for t in self.proc_order[proc]]
         )
         self._tl_cache[key] = (stamp, tl)
@@ -167,7 +153,7 @@ class Schedule:
         hit = self._tl_cache.get(key)
         if hit is not None and hit[0] == stamp:
             return hit[1]
-        tl = _timeline_class().from_items(self.link_order[link])
+        tl = Timeline.from_items(self.link_order[link])
         self._tl_cache[key] = (stamp, tl)
         return tl
 

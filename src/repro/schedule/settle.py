@@ -32,8 +32,8 @@ mode:
 * :func:`_settle_legacy` — the original closure-per-dependency code
   (mode ``legacy``, the reference oracle);
 * :func:`_settle_fast` — the same full Kahn pass with flattened loops;
-* :func:`settle_incremental` — the change-driven engine (modes
-  ``incremental`` and ``array``): instead of rebuilding the whole
+* :func:`settle_incremental` — the change-driven engine (mode
+  ``incremental``): instead of rebuilding the whole
   constraint DAG it starts from the *seed set* a :class:`~repro.schedule.
   schedule.ScheduleTxn` collected during the mutations (every node whose
   constraint predecessors changed) and propagates recomputed times
@@ -444,9 +444,7 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     return schedule
 
 
-# The array engine settles through the same cone loop: its timelines
-# come from the schedule's engine-mode timeline class, not from the
-# settle. The name stays because perfbench/layers.py wraps
+# An alias kept only for perfbench/layers.py, which wraps
 # ``repro.core.migration.settle_array`` as a traced call site.
 settle_array = settle_incremental
 

@@ -17,7 +17,7 @@ keys with ``schedule/``). Every entry carries provenance
 ``{repro_version, engine_mode, request_key}``; an entry whose version or
 request key disagrees is *stale* and recomputed rather than served.
 ``engine_mode`` is recorded for observability but deliberately not a
-staleness criterion: byte-identity of schedules across the three
+staleness criterion: byte-identity of schedules across the two
 ``REPRO_HOTPATH`` modes is the library's contract (enforced by
 ``tests/test_hotpath_equivalence.py``), so a bundle computed under one
 mode is valid under all of them.

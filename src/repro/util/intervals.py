@@ -19,16 +19,12 @@ Two implementations coexist:
 
 Which one the schedulers use is controlled by the process-wide hot-path
 mode (:func:`hotpath_mode` / :func:`set_hotpath_mode`, initialized from
-``REPRO_HOTPATH``). Three modes exist: ``legacy`` (the original
-linear-rescan reference code), ``incremental`` (the default: indexed
-timelines, memoized routing/costs, candidate pruning, the change-driven
-settle engine and the undo-log rollback in :mod:`repro.schedule.settle`
-/ :mod:`repro.schedule.schedule`), and ``array`` (everything in
-``incremental`` plus the numpy-backed flat-array state in
-:mod:`repro.schedule.arraystate`: vectorized timeline gap search,
-dense cost matrices, and batched candidate evaluation — built for
-n>=1000 graphs; requires numpy, the only mode that does). All modes
-produce bit-identical schedules — enforced by
+``REPRO_HOTPATH``). Two modes exist: ``incremental`` (the default:
+indexed timelines, memoized routing/costs, screened candidate
+evaluation, the change-driven settle engine and the undo-log rollback in
+:mod:`repro.schedule.settle` / :mod:`repro.schedule.schedule`) and
+``legacy`` (the original linear-rescan reference code, kept as the
+oracle). Both produce bit-identical schedules — enforced by
 ``benchmarks/bench_hotpath.py`` and ``tests/test_hotpath_equivalence.py``.
 
 All comparisons use an absolute slack ``EPS`` to absorb floating-point
@@ -49,28 +45,10 @@ from typing import List, Optional, Sequence, Tuple
 from repro.util.tolerance import EPS
 
 #: hot-path modes: "incremental" (default) runs the indexed structures,
-#: memoized routing/cost lookups, change-driven settle engine and
-#: undo-log rollback; "array" adds the numpy flat-array state
-#: (vectorized gap search, dense cost matrices, batched candidate
-#: evaluation) on top of "incremental"; "legacy" runs the original
-#: linear-rescan code.
-HOTPATH_MODES = ("incremental", "legacy", "array")
-
-
-def _require_numpy(mode: str) -> None:
-    """Raise a clean error when a numpy-backed mode is requested without
-    numpy. Every other mode must keep working numpy-free, so this is the
-    only place the engine ever imports it eagerly."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"REPRO_HOTPATH={mode!r} requires numpy, which is not "
-            f"installed; install numpy or pick one of the numpy-free "
-            f"modes {tuple(m for m in HOTPATH_MODES if m != 'array')}"
-        ) from None
+#: memoized routing/cost lookups, screened candidate evaluation,
+#: change-driven settle engine and undo-log rollback; "legacy" runs the
+#: original linear-rescan code.
+HOTPATH_MODES = ("incremental", "legacy")
 
 
 _hotpath_mode = os.environ.get("REPRO_HOTPATH", "").strip().lower() or "incremental"
@@ -81,27 +59,19 @@ if _hotpath_mode not in HOTPATH_MODES:
         f"REPRO_HOTPATH={_hotpath_mode!r} is not a hot-path mode; "
         f"valid modes are {HOTPATH_MODES}"
     )
-if _hotpath_mode == "array":
-    _require_numpy(_hotpath_mode)
 
 
 def hotpath_mode() -> str:
-    """Current hot-path mode: ``"incremental"`` (default), ``"legacy"``
-    or ``"array"``."""
+    """Current hot-path mode: ``"incremental"`` (default) or
+    ``"legacy"``."""
     return _hotpath_mode
 
 
 def fast_path_enabled() -> bool:
-    """True for every indexed-engine mode (``incremental`` and ``array``):
-    indexed timelines, memoized lookups, candidate pruning, the
-    change-driven settle engine and undo-log rollback. ``array`` is a
-    strict superset of ``incremental``."""
+    """True in the indexed engine (mode ``incremental``): indexed
+    timelines, memoized lookups, screened candidate evaluation, the
+    change-driven settle engine and undo-log rollback."""
     return _hotpath_mode != "legacy"
-
-
-def array_enabled() -> bool:
-    """True when the numpy flat-array engine is active (mode ``array``)."""
-    return _hotpath_mode == "array"
 
 
 def set_hotpath_mode(mode: str) -> str:
@@ -113,8 +83,6 @@ def set_hotpath_mode(mode: str) -> str:
     global _hotpath_mode
     if mode not in HOTPATH_MODES:
         raise ValueError(f"hotpath mode must be one of {HOTPATH_MODES}, got {mode!r}")
-    if mode == "array":
-        _require_numpy(mode)
     previous = _hotpath_mode
     _hotpath_mode = mode
     return previous
@@ -268,6 +236,10 @@ class Timeline:
         reservations before tentative ones at equal starts — the same
         order a stable sort of ``committed + planned`` produces.
         """
+        if not extra_starts:
+            # no tentative reservation on this link yet (the first touch
+            # of each link in a plan): the merged walk is the base walk
+            return self.earliest_gap(ready, duration)
         if duration < -EPS:
             raise ValueError(f"negative duration {duration}")
         t = ready if ready > 0.0 else 0.0

@@ -102,14 +102,11 @@ class TestBehaviour:
         assert stats.first_pivot in range(4)
         assert sorted(stats.pivot_sequence) == [0, 1, 2, 3]
         assert stats.n_examined > 0
-        from repro.util.intervals import array_enabled
-
-        if array_enabled():
-            # the array engine's candidate masks may discard *every*
-            # destination of an examined task before evaluating any
-            assert stats.n_evaluated > 0
-        else:
-            assert stats.n_evaluated >= stats.n_examined
+        # every examined task weighs all three other processors: each is
+        # evaluated exactly or skipped by the screen (which may skip
+        # *every* destination of a task; legacy skips none)
+        assert stats.n_evaluated > 0
+        assert stats.n_evaluated + stats.n_pruned == 3 * stats.n_examined
         assert stats.n_sweeps_run >= 1
         assert stats.serial_length > 0
 

@@ -36,7 +36,7 @@ CORPUS_DIR = os.path.join(REPO_ROOT, "examples", "corpus")
 TRACE_PATH = os.path.join(CORPUS_DIR, "fft8.trace.json")
 BRIDGED_PATH = os.path.join(CORPUS_DIR, "bridged_chains.stg")
 
-MODES = ("legacy", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 
 @pytest.fixture
@@ -348,8 +348,7 @@ class TestBench:
             )
             assert not sweep.failures
             reports[mode] = report
-        assert (reports["legacy"] == reports["incremental"]
-                == reports["array"])
+        assert reports["legacy"] == reports["incremental"]
         set_hotpath_mode("incremental")
         parallel, _ = corpus_bench(
             CORPUS_DIR, topologies=("ring",), jobs=2, use_cache=False,
@@ -412,8 +411,7 @@ class TestBench:
             )
             assert not sweep.failures
             reports[mode] = report
-        assert (reports["legacy"]
-                == reports["incremental"] == reports["array"])
+        assert reports["legacy"] == reports["incremental"]
         assert "objective means over" in reports["legacy"]
         assert "mean energy" in reports["legacy"]
         assert "mean reliability" in reports["legacy"]

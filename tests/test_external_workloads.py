@@ -29,7 +29,7 @@ from repro.workloads.suites import random_graph
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS_DIR = os.path.join(REPO_ROOT, "examples", "graphs")
 
-MODES = ("legacy", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 
 @pytest.fixture
@@ -189,6 +189,6 @@ class TestCorpus:
                 schedule = _SCHEDULERS[algorithm](system)
                 validate_schedule(schedule)
                 blobs[mode] = schedule_to_json(schedule)
-            assert blobs["legacy"] == blobs["incremental"] == blobs["array"], (
+            assert blobs["legacy"] == blobs["incremental"], (
                 f"{filename}/{algorithm}: engine modes diverged"
             )

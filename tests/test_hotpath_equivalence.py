@@ -1,4 +1,4 @@
-"""Equivalence regression tests for the indexed and array engines.
+"""Equivalence regression tests for the indexed engine.
 
 Two layers of protection for the hot-path overhauls (indexed timelines,
 memoized routing/costs, bound-based candidate pruning, change-driven
@@ -9,11 +9,12 @@ incremental settle, undo-log rollback):
   route modes. Any change to scheduling arithmetic, however subtle,
   trips these. All arithmetic involved is deterministic IEEE-754, so the
   pins are machine-independent.
-* **legacy/incremental/array cross-checks** — the same cell scheduled
-  under all three hot-path modes must serialize to byte-identical JSON
-  (every task time and every message hop), on uniform *and*
-  heterogeneous link models (full-duplex, bandwidth-skewed torus and
-  fat-tree cells).
+* **legacy/incremental cross-checks** — the same cell scheduled under
+  both hot-path modes must serialize to byte-identical JSON (every task
+  time and every message hop), on uniform *and* heterogeneous link
+  models (full-duplex, bandwidth-skewed torus and fat-tree cells,
+  per-message link factors) and under every BSA ablation that changes
+  which lower bound screens the candidates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.objectives import evaluate_objectives
 from repro.schedule.io import schedule_to_json
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 
-MODES = ("legacy", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 
 @pytest.fixture
@@ -123,13 +124,35 @@ PINNED_SPDECOMP = {
 }
 
 
-#: n=1000 golden cell — the scale the array engine exists for, and the
-#: same cell family as ``bench_hotpath.py``'s scaling curve. Pins the
-#: exact makespan so array-mode schedules are locked against drift at
-#: scale (regenerate only on intentional algorithmic change).
+#: n=1000 golden cell — the same cell family as ``bench_hotpath.py``'s
+#: scaling curve. Pins the exact makespan so the indexed engine's
+#: schedules are locked against drift at scale (regenerate only on
+#: intentional algorithmic change).
 CELL_N1000 = Cell("regular", "gauss", 1000, 1.0, "hypercube", "bsa",
                   n_procs=16, graph_seed=1, system_seed=1)
 PINNED_N1000 = 66554.90105672537
+
+
+#: per-message link factors (``link_het``): every (message, link) pair
+#: draws its own factor, so the committed-walk screen reads hop costs
+#: that differ per message
+CELL_PER_MESSAGE_LINK = Cell("random", "random", 30, 1.0, "hypercube", "x",
+                             n_procs=8, link_het=True,
+                             graph_seed=17, system_seed=17)
+
+#: BSA ablations of the screened candidate evaluator: no insertion takes
+#: the hop-chain (uniform links) or producer-finish bound instead of the
+#: committed walk, no VIP-follow drops the VIP processor's keep rule,
+#: the journal trigger examines fewer tasks, and untruncated
+#: incremental routes in neighbor scope take the producer-finish bound
+BSA_ABLATIONS = {
+    "no_insertion": BSAOptions(insertion=False),
+    "no_vip_follow": BSAOptions(vip_follow=False),
+    "st_gt_drt": BSAOptions(migration_trigger="st_gt_drt"),
+    "untruncated_incremental_routes": BSAOptions(
+        truncate_routes=False, migration_scope="neighbors",
+        route_mode="incremental"),
+}
 
 
 def _cell(suite: str) -> Cell:
@@ -140,6 +163,7 @@ def _cell(suite: str) -> Cell:
         "fattree": CELL_FATTREE,
         "torus_fd": CELL_TORUS_FD,
         "fattree_skew": CELL_FATTREE_SKEW,
+        "per_message_link": CELL_PER_MESSAGE_LINK,
     }[suite]
 
 
@@ -184,11 +208,11 @@ class TestPinnedMakespans:
 
 
 class TestEngineModesIdentical:
-    """legacy vs fast vs incremental vs array — byte-identical
-    serialized output."""
+    """legacy vs incremental — byte-identical serialized output."""
 
     @pytest.mark.parametrize(
-        "suite", ["regular", "random", "torus", "fattree", "torus_fd", "fattree_skew"]
+        "suite", ["regular", "random", "torus", "fattree", "torus_fd",
+                  "fattree_skew", "per_message_link"]
     )
     @pytest.mark.parametrize(
         "algorithm", ["bsa", "dls", "heft", "cpop", "etf", "spdecomp"]
@@ -199,8 +223,7 @@ class TestEngineModesIdentical:
             set_hotpath_mode(mode)
             system = build_cell_system(_cell(suite))
             blobs[mode] = schedule_to_json(_SCHEDULERS[algorithm](system))
-        assert (blobs["legacy"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
 
     @pytest.mark.parametrize("route_mode", ["incremental", "shortest"])
     def test_route_modes_identical(self, route_mode, both_modes):
@@ -213,31 +236,40 @@ class TestEngineModesIdentical:
                 BSAOptions(migration_scope="neighbors", route_mode=route_mode),
             )
             blobs[mode] = schedule_to_json(sched)
-        assert (blobs["legacy"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_paper_example_identical(self, both_modes):
         blobs = {}
         for mode in MODES:
             set_hotpath_mode(mode)
             blobs[mode] = schedule_to_json(run_paper_example()["schedule"])
-        assert (blobs["legacy"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
+
+    @pytest.mark.parametrize("suite", ["regular", "fattree_skew",
+                                       "per_message_link"])
+    @pytest.mark.parametrize("ablation", sorted(BSA_ABLATIONS))
+    def test_bsa_ablations_identical(self, ablation, suite, both_modes):
+        """Each ablation moves the screened evaluator onto another
+        lower-bound case (or changes which candidates it must keep), so
+        each is checked byte for byte against the exhaustive oracle on a
+        uniform, a bandwidth-skewed and a per-message-link cell."""
+        blobs = {}
+        for mode in MODES:
+            set_hotpath_mode(mode)
+            system = build_cell_system(_cell(suite))
+            sched = schedule_bsa(system, BSA_ABLATIONS[ablation])
+            blobs[mode] = schedule_to_json(sched)
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_golden_cell_n1000(self, both_modes):
-        """The n=1000 golden cell: array and incremental byte-identical
-        AND pinned to the exact makespan. Legacy is excluded here
-        only for wall-clock reasons — the ``MODES`` sweeps above pin
-        its equivalence on every differential cell, so the
-        incremental blob transitively anchors all three modes."""
-        blobs = {}
-        for mode in ("incremental", "array"):
-            set_hotpath_mode(mode)
-            system = build_cell_system(CELL_N1000)
-            sched = _SCHEDULERS["bsa"](system)
-            assert sched.schedule_length() == PINNED_N1000, mode
-            blobs[mode] = schedule_to_json(sched)
-        assert blobs["incremental"] == blobs["array"]
+        """The n=1000 golden cell, pinned to the exact makespan under the
+        indexed engine. Legacy is excluded here only for wall-clock
+        reasons — the ``MODES`` sweeps above pin its equivalence on
+        every differential cell."""
+        set_hotpath_mode("incremental")
+        system = build_cell_system(CELL_N1000)
+        sched = _SCHEDULERS["bsa"](system)
+        assert sched.schedule_length() == PINNED_N1000
 
     @pytest.mark.parametrize("suite", ["regular", "torus", "fattree_skew"])
     @pytest.mark.parametrize("algorithm", ["bsa", "heft", "spdecomp"])
@@ -255,13 +287,12 @@ class TestEngineModesIdentical:
                 sched, "makespan,energy,reliability,throughput"
             )
             blobs[mode] = json.dumps(values, sort_keys=True)
-        assert (blobs["legacy"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_rejection_heavy_cell_identical(self, both_modes):
         """A communication-heavy cell whose BSA run rejects many
-        migrations: exercises the undo-log rollback (incremental and
-        array) and the deep-copy restore (legacy) against each other on
+        migrations: exercises the undo-log rollback (incremental) and
+        the deep-copy restore (legacy) against each other on
         the same commit sequence."""
         from repro.core.bsa import BSAScheduler
 
@@ -274,8 +305,7 @@ class TestEngineModesIdentical:
             scheduler = BSAScheduler(build_cell_system(cell), BSAOptions())
             blobs[mode] = schedule_to_json(scheduler.run())
             rejected[mode] = scheduler.stats.n_rejected_migrations
-        assert (blobs["legacy"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
         assert len(set(rejected.values())) == 1
         # the cell must keep exercising rollback; reseed it if this trips
         assert rejected["incremental"] > 0
@@ -283,7 +313,7 @@ class TestEngineModesIdentical:
 #: golden Pareto cell (PR 9): fat-tree n=100 gauss, every scheduler
 #: scored on all four objectives. The front and every objective value
 #: are pinned exactly; the serialized artifact must be byte-identical
-#: across all three engine modes.
+#: across both engine modes.
 CELL_PARETO = Cell("regular", "gauss", 100, 1.0, "fattree", "bsa",
                    n_procs=8, graph_seed=2, system_seed=2)
 
@@ -352,5 +382,4 @@ class TestGoldenPareto:
         for mode in MODES:
             set_hotpath_mode(mode)
             blobs[mode] = pareto_to_json(self._run())
-        assert (blobs["legacy"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]

@@ -105,7 +105,7 @@ class TestIncrementalSettleEquivalence:
         the anonymous transaction and stay byte-identical to the legacy
         full-settle oracle."""
         blobs = {}
-        for mode in ("legacy", "incremental", "array"):
+        for mode in ("legacy", "incremental"):
             set_hotpath_mode(mode)
             _, sched = serial_injection(paper_system)
             for task, dst in [("T5", 3), ("T1", 2), ("T5", 0)]:
@@ -113,7 +113,7 @@ class TestIncrementalSettleEquivalence:
                 commit_migration(sched, plan)
             validate_schedule(sched)
             blobs[mode] = schedule_to_json(sched)
-        assert blobs["legacy"] == blobs["incremental"] == blobs["array"]
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_zero_cost_edge_graph_takes_full_pass(self, incremental_mode):
         """Graphs with a 0-cost message fall back to the full pass (the
@@ -135,12 +135,12 @@ class TestIncrementalSettleEquivalence:
 
         assert build().graph.has_zero_cost_edge()
         blobs = {}
-        for mode in ("legacy", "incremental", "array"):
+        for mode in ("legacy", "incremental"):
             set_hotpath_mode(mode)
             sched = schedule_bsa(build(), BSAOptions())
             validate_schedule(sched)
             blobs[mode] = schedule_to_json(sched)
-        assert blobs["legacy"] == blobs["incremental"] == blobs["array"]
+        assert blobs["legacy"] == blobs["incremental"]
 
 
 class TestUndoLogRollback:
@@ -200,8 +200,9 @@ class TestUndoLogRollback:
 
 class TestSettleIncrementalDirect:
     def test_settle_array_is_an_alias(self):
-        """The array engine has no settle loop of its own: settle_array
-        is settle_incremental, under both names callers resolve it by."""
+        """settle_array survives only as a name for settle_incremental
+        (an external tracer wraps it), under both names callers resolve
+        it by."""
         import importlib
 
         import repro.core.migration as migration
@@ -214,13 +215,13 @@ class TestSettleIncrementalDirect:
         assert migration.settle_incremental is settle_incremental
 
     @pytest.mark.parametrize("mode, incremental_calls", [
-        ("legacy", False), ("incremental", True), ("array", True),
+        ("legacy", False), ("incremental", True),
     ])
     def test_commit_dispatches_one_settle(self, paper_system, monkeypatch,
                                           mode, incremental_calls):
         """commit_migration settles through settle_incremental in the
-        incremental and array modes alike, and through the full pass
-        only in legacy mode."""
+        incremental mode, and through the full pass only in legacy
+        mode."""
         import repro.core.migration as migration
 
         calls = []

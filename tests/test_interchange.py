@@ -579,7 +579,7 @@ class TestBridgePolicy:
         initial = hotpath_mode()
         try:
             blobs = {}
-            for mode in ("legacy", "incremental", "array"):
+            for mode in ("legacy", "incremental"):
                 set_hotpath_mode(mode)
                 cell = external_cell(
                     path, algorithm="bsa", topology="ring", n_procs=4,
@@ -590,8 +590,7 @@ class TestBridgePolicy:
                 blobs[mode] = schedule_to_json(schedule)
         finally:
             set_hotpath_mode(initial)
-        assert (blobs["legacy"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_convert_cli_bridge(self, tmp_path, capsys):
         from repro.cli import main

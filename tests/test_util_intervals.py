@@ -190,19 +190,15 @@ class TestTimeline:
     def test_eps_boundary_fit_agrees_with_overlap_check(self):
         """A gap that fits only up to float rounding at the EPS boundary
         (ready 1e-9, duration 1 before a reservation at 1.0) must be
-        refused by every gap search, the vectorized tail included: the
-        returned slot may never overlap a reservation by more than EPS.
-        Sixty tiny reservations push the boundary gap past the array
-        timeline's scalar prefix."""
-        from repro.schedule.arraystate import ArrayTimeline
-
+        refused by every gap search: the returned slot may never overlap
+        a reservation by more than EPS. Sixty tiny reservations precede
+        the boundary gap, so the indexed searches scan a long tail."""
         busy = [Interval(k * 1e-11, k * 1e-11 + 5e-12) for k in range(59)]
         busy += [Interval(9e-10, 1e-9), Interval(1.0, 2.0)]
         for found in (
             earliest_gap(busy, 0.0, 1.0),
             Timeline.from_items(busy).earliest_gap(0.0, 1.0),
             Timeline.from_items(busy).earliest_gap_merged(0.0, 1.0, [], []),
-            ArrayTimeline.from_items(busy).earliest_gap(0.0, 1.0),
         ):
             assert found == 2.0
             assert not any(Interval(found, found + 1.0).overlaps(b)
@@ -230,104 +226,49 @@ class TestHotpathMode:
         assert hotpath_mode() == prev
 
     def test_bad_mode_rejected(self):
-        for mode in ("turbo", "fast"):
+        for mode in ("turbo", "fast", "array"):
             with pytest.raises(ValueError):
                 set_hotpath_mode(mode)
 
     def test_mode_predicates(self):
-        from repro.util.intervals import array_enabled
-
+        assert HOTPATH_MODES == ("incremental", "legacy")
         prev = hotpath_mode()
         try:
             set_hotpath_mode("incremental")
-            assert fast_path_enabled() and not array_enabled()
+            assert fast_path_enabled()
             set_hotpath_mode("legacy")
-            assert not fast_path_enabled() and not array_enabled()
+            assert not fast_path_enabled()
         finally:
             set_hotpath_mode(prev)
 
-    def test_array_without_numpy_raises_configuration_error(self):
-        """Requesting the array engine on a numpy-free install must fail
-        with a clean ConfigurationError — at set_hotpath_mode() and at
-        env-var import time alike — while the other two modes keep
-        working. numpy IS installed here, so a child process blocks its
-        import via a meta_path finder before touching repro. Stage 2
-        also checks that an unknown ``REPRO_HOTPATH`` (the retired
-        ``fast`` mode, a typo) fails the same way, naming the valid
-        modes, instead of silently running the default engine."""
+    def test_unknown_env_mode_fails_at_import(self):
+        """An unknown ``REPRO_HOTPATH`` (the retired ``fast`` and
+        ``array`` modes, a typo) must fail at import with a clean
+        ConfigurationError naming the valid modes, instead of silently
+        running the default engine. Each value is imported in a fresh
+        child process, since the mode is read once at import."""
         import os
         import subprocess
         import sys
         import textwrap
 
-        code = textwrap.dedent("""
-            import sys
-
-            class _BlockNumpy:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy blocked for test")
-                    return None
-
-            sys.meta_path.insert(0, _BlockNumpy())
-
-            from repro.errors import ConfigurationError
-            from repro.util.intervals import (
-                hotpath_mode,
-                set_hotpath_mode,
-            )
-
-            # numpy-free modes stay fully selectable
-            for mode in ("incremental", "legacy"):
-                set_hotpath_mode(mode)
-            try:
-                set_hotpath_mode("array")
-            except ConfigurationError as exc:
-                assert "numpy" in str(exc), exc
-            else:
-                raise SystemExit("array mode accepted without numpy")
-            # the failed request must not corrupt the mode switch
-            assert hotpath_mode() == "legacy"
-
-            # env-var request: importing repro with REPRO_HOTPATH=array
-            # must raise the same clean error (re-exec with the blocker
-            # installed via this same script, stage 2)
-            print("STAGE1-OK")
-        """)
         env = {**os.environ, "PYTHONPATH": "src"}
-        env.pop("REPRO_HOTPATH", None)
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert done.returncode == 0, done.stderr
-        assert "STAGE1-OK" in done.stdout
-
         env_code = textwrap.dedent("""
             import os
-            import sys
 
-            class _BlockNumpy:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy blocked for test")
-                    return None
-
-            sys.meta_path.insert(0, _BlockNumpy())
             try:
                 import repro.util.intervals  # noqa: F401
             except Exception as exc:
                 assert type(exc).__name__ == "ConfigurationError", exc
                 assert os.environ["EXPECT"] in str(exc), exc
-                print("STAGE2-OK")
+                print("IMPORT-REFUSED")
             else:
                 raise SystemExit(
                     f"REPRO_HOTPATH={os.environ['REPRO_HOTPATH']} import "
                     "succeeded"
                 )
         """)
-        for value, expect in (("array", "numpy"),
+        for value, expect in (("array", "valid modes"),
                               ("fast", "valid modes"),
                               ("incremnetal", "valid modes")):
             env["REPRO_HOTPATH"] = value
@@ -338,18 +279,4 @@ class TestHotpathMode:
                 cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             )
             assert done.returncode == 0, (value, done.stderr)
-            assert "STAGE2-OK" in done.stdout, value
-
-    def test_array_implies_fast_path(self):
-        """The array engine is the incremental engine on flat arrays:
-        everything gated on the fast-path predicate (undo-log
-        transactions, memoized routes, settle seeding) must stay on."""
-        from repro.util.intervals import array_enabled
-
-        prev = hotpath_mode()
-        try:
-            set_hotpath_mode("array")
-            assert array_enabled()
-            assert fast_path_enabled()
-        finally:
-            set_hotpath_mode(prev)
+            assert "IMPORT-REFUSED" in done.stdout, value
