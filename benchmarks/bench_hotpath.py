@@ -15,7 +15,10 @@ rollback (``incremental``) — and:
   candidate screen, the change-driven settle and the undo-log rollback
   buy on the workloads they target;
 * records the **scaling curve** (n=100 -> 2000): the incremental
-  engine's BSA wall time and validated makespan per size;
+  engine's BSA wall time and validated makespan per size, and fails,
+  writing no report, if a makespan differs from the one the committed
+  ``BENCH_hotpath.json`` records for that size (after an intended
+  schedule change, delete that file and re-run);
 * optionally measures parallel-runner scaling (``--jobs N`` wall clock
   vs serial) on the same sweep;
 * writes everything to ``BENCH_hotpath.json`` (repo root by default) so
@@ -246,6 +249,26 @@ def run_scaling_curve(preset: str, reps: int = 2) -> Dict:
     return {"points": points}
 
 
+def curve_makespan_drift(points: List[Dict], reference: str) -> List[str]:
+    """Curve sizes whose makespan differs from the reference report.
+
+    The curve runs the incremental engine alone (legacy is too slow at
+    n=2000), so its makespans are pinned to the reference instead of to
+    a second mode. Sizes the reference lacks, or a missing reference,
+    are not compared.
+    """
+    if not os.path.exists(reference):
+        return []
+    with open(reference) as fh:
+        ref_points = json.load(fh).get("scaling_curve", {}).get("points", [])
+    pinned = {p["n_tasks"]: p["makespan"] for p in ref_points if "makespan" in p}
+    return [
+        f"n={p['n_tasks']}: {p['makespan']!r} != {pinned[p['n_tasks']]!r}"
+        for p in points
+        if p["n_tasks"] in pinned and p["makespan"] != pinned[p["n_tasks"]]
+    ]
+
+
 def run_obs_guard(preset: str, reps: int = 3) -> Dict:
     """The observability overhead contract, enforced.
 
@@ -408,6 +431,12 @@ def main(argv=None) -> int:
         f"n={p['n_tasks']}: {p['incremental_s']}s" for p in sc["points"]
     )
     print(f"scaling curve (incremental): {curve}")
+    # fail before the report is written: --out may be the committed file
+    drift = curve_makespan_drift(sc["points"], DEFAULT_OUT)
+    if drift:
+        print(f"FAIL: scaling-curve makespans differ from {DEFAULT_OUT}: "
+              f"{'; '.join(drift)}", file=sys.stderr)
+        return 1
 
     if args.jobs and args.jobs > 1:
         usable = report["effective_cpus"]

@@ -236,10 +236,6 @@ class Timeline:
         reservations before tentative ones at equal starts — the same
         order a stable sort of ``committed + planned`` produces.
         """
-        if not extra_starts:
-            # no tentative reservation on this link yet (the first touch
-            # of each link in a plan): the merged walk is the base walk
-            return self.earliest_gap(ready, duration)
         if duration < -EPS:
             raise ValueError(f"negative duration {duration}")
         t = ready if ready > 0.0 else 0.0

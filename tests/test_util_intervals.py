@@ -226,9 +226,12 @@ class TestHotpathMode:
         assert hotpath_mode() == prev
 
     def test_bad_mode_rejected(self):
+        # a rejected request must leave the current mode untouched
+        before = hotpath_mode()
         for mode in ("turbo", "fast", "array"):
             with pytest.raises(ValueError):
                 set_hotpath_mode(mode)
+            assert hotpath_mode() == before
 
     def test_mode_predicates(self):
         assert HOTPATH_MODES == ("incremental", "legacy")
