@@ -1,13 +1,13 @@
 """Observability bench: deterministic counter profiles per engine mode.
 
 Runs the pinned observability cell (``random`` n=40 on ring16, BSA —
-the same cell ``tests/test_obs.py`` goldens) under every
-``REPRO_HOTPATH`` engine with counter collection on and records the
-non-zero counters per mode. The schedules are byte-identical across
-modes by contract; the counters are deliberately *not* — they profile
-each engine's work (the legacy engine never runs an incremental
-settle or walks the route trie), which is
-exactly what makes them useful engine regression pins.
+the same cell ``tests/test_obs.py`` goldens) under every hot-path
+mode (the engine and its ``legacy`` oracle) with counter collection on
+and records the non-zero counters per mode. The schedules are
+byte-identical across modes by contract; the counters are deliberately
+*not* — they profile each engine's work (the legacy engine never runs
+an incremental settle or walks the route trie), which is exactly what
+makes them useful engine regression pins.
 
 Also re-checks the two determinism contracts the counters carry:
 

@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError, CycleError
 from repro.graph.model import TaskId
 from repro.graph.validation import validate_graph
-from repro.network.routing import shortest_path
-from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
+from repro.network.system import HeterogeneousSystem
 from repro.network.topology import Proc
 from repro.obs import counters as _obs
 from repro.core.migration import (
@@ -45,7 +44,7 @@ from repro.core.migration import (
     evaluate_migration,
 )
 from repro.core.serialization import PivotSelection, serial_injection
-from repro.schedule.linkplan import arrival_bounds, arrival_lower_bound
+from repro.schedule.linkplan import arrival_bounds
 from repro.schedule.schedule import Schedule
 from repro.util.intervals import fast_path_enabled
 from repro.util.rng import RngStream
@@ -274,10 +273,6 @@ class BSAScheduler:
           processor at once (:func:`~repro.schedule.linkplan.
           arrival_bounds`); valid for heterogeneous links and skewed
           bandwidths;
-        * shortest routes on homogeneous, uniform-bandwidth links — the
-          queue-free store-and-forward chain over the exact hop count
-          (:func:`~repro.schedule.linkplan.arrival_lower_bound`; a fast
-          link or a link factor would make hops cheaper than ``c_ij``);
         * otherwise — the latest producer finish (hop durations and
           queueing delays are non-negative, and truncated incremental
           routes reuse hops settled after the producer).
@@ -319,23 +314,6 @@ class BSAScheduler:
                 for k in preds
             ]
             drt_lb = [max(arrivals) for arrivals in zip(*walks)] or None
-        elif (
-            opts.route_mode == "shortest"
-            and system.link_mode is LinkHeterogeneity.HOMOGENEOUS
-            and system.topology.uniform_bandwidth
-        ):
-            topology = system.topology
-            pred_info = [
-                (proc_of(k), slots[k].finish, system.graph.comm_cost(k, task))
-                for k in preds
-            ]
-            drt_lb = {
-                nb: arrival_lower_bound(
-                    pred_info, nb,
-                    lambda a, b: len(shortest_path(topology, a, b)) - 1,
-                )
-                for nb in neighbors
-            }
         else:
             drt_lb = None
         if drt_lb is None:
@@ -416,7 +394,8 @@ def schedule_bsa(
     """Convenience wrapper: run BSA and return the schedule.
 
     The schedule is complete (every task placed, every message routed)
-    and identical across the two ``REPRO_HOTPATH`` engine modes.
+    and byte-identical to the one the test-only ``legacy`` oracle
+    builds.
 
     >>> from repro.network.system import HeterogeneousSystem
     >>> from repro.network.topology import ring

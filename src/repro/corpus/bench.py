@@ -5,8 +5,8 @@ The report is **deterministic**: it is computed purely from schedule
 metrics (never wall-clock timings), cells are iterated in expansion
 order, and every float is rendered at fixed precision — so the same
 corpus produces byte-identical report text on every run, machine, and
-``REPRO_HOTPATH`` engine mode (the engines' byte-identity contract
-extends through it; pinned by ``tests/test_corpus.py``).
+hot-path mode (the engine's byte-identity contract with the ``legacy``
+oracle extends through it; pinned by ``tests/test_corpus.py``).
 
 A *scenario* is one (file x overlay x topology) combination; every
 scenario is scheduled by every algorithm, and per scenario each

@@ -29,7 +29,6 @@ from repro.dynamic.repair import (
     alive_path,
     cone_repair,
     place_dynamic,
-    tail_settle,
 )
 from repro.dynamic.replan import replan_tail
 from repro.dynamic.simulate import (
@@ -42,6 +41,7 @@ from repro.dynamic.simulate import (
     simulate,
     simulate_scenario,
 )
+from repro.schedule.settle import tail_settle
 
 __all__ = [
     "EVENT_TRACE_FORMAT",

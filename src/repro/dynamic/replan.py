@@ -17,12 +17,8 @@ instead — same frontier, same prefix-preservation guarantees.
 from __future__ import annotations
 
 from repro.errors import CycleError, RoutingError, SchedulingError
-from repro.dynamic.repair import (
-    RepairResult,
-    _finalize,
-    place_dynamic,
-    tail_settle,
-)
+from repro.dynamic.repair import RepairResult, _finalize, place_dynamic
+from repro.schedule.settle import tail_settle
 
 __all__ = ["replan_tail"]
 

@@ -76,9 +76,10 @@ def is_stale(value: dict, request_key: str) -> bool:
     Staleness means a *different library version* wrote the entry, or
     the entry was written under a *different request key* (a sharding or
     grammar bug). ``engine_mode`` is recorded but deliberately not a
-    criterion: schedules are byte-identical across the ``REPRO_HOTPATH``
-    modes by contract, so cross-mode serving is correct (and the corpus
-    report stays byte-identical across modes). Entries written before
+    criterion: schedules are byte-identical across the hot-path modes
+    (the engine and its ``legacy`` oracle) by contract, so cross-mode
+    serving is correct (and the corpus report stays byte-identical
+    across modes). Entries written before
     provenance existed carry no stamp and are grandfathered —
     ``CACHE_VERSION`` gates those wholesale.
     """

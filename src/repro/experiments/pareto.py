@@ -11,7 +11,7 @@ run_cells`, whose results are independent of ``jobs`` and of the engine
 mode (byte-identity contract), and front membership is a property of
 the point *set* (see :func:`repro.objectives.pareto_front`) — so the
 same request yields the same bytes from ``repro pareto``, from the
-``/pareto`` service endpoint, under any ``REPRO_HOTPATH``, at any job
+``/pareto`` service endpoint, under either hot-path mode, at any job
 count. ``tests/test_hotpath_equivalence.py`` pins a golden front.
 """
 

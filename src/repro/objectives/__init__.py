@@ -3,7 +3,8 @@
 See :mod:`repro.objectives.registry` for the registry/token grammar and
 Pareto helpers, and the per-objective modules for the models. All
 evaluators are pure deterministic reductions over committed schedules —
-the ``REPRO_HOTPATH`` byte-identity contract extends through them.
+the engine's byte-identity contract with the ``legacy`` oracle extends
+through them.
 """
 
 from repro.objectives.energy import PowerModel, schedule_energy

@@ -142,9 +142,9 @@ def arrival_lower_bound(
     Without ``hop_distance`` the bound degrades to the latest producer
     finish, which is always valid.
 
-    This is the soundness-bearing kernel of both BSA's and DLS's
-    candidate pruning — keep it shared so the float-exactness argument
-    lives in exactly one place.
+    This is the soundness-bearing kernel of DLS's candidate pruning
+    (BSA bounds its candidates with :func:`arrival_bounds` or the
+    producer finish instead).
     """
     lb = 0.0
     for (p, f, c) in pred_info:

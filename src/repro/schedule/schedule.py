@@ -512,8 +512,8 @@ class ScheduleTxn:
     in LIFO order, which restores each container to the exact state it
     had before the op (later mutations of the same list have already
     been reversed when an op replays, so recorded indices are valid).
-    Time write-backs the incremental settle performs are recorded via
-    :meth:`record_time` and restored the same way. Compared to the deep
+    The settle engines append every time write-back's previous
+    ``(obj, start, finish)`` to :attr:`times`, restored the same way. Compared to the deep
     :meth:`Schedule.copy` the legacy engine restores from, this costs
     O(actual mutations) instead of O(tasks + hops) per commit — and
     commits vastly outnumber rollbacks.
@@ -564,10 +564,6 @@ class ScheduleTxn:
 
     def record_set_local(self, edge: Edge) -> None:
         self.ops.append((_OP_SET_LOCAL, edge))
-
-    def record_time(self, obj, start: float, finish: float) -> None:
-        """Remember ``obj``'s times before the settle write-back."""
-        self.times.append((obj, start, finish))
 
     # -- closing ---------------------------------------------------------
     def rollback(self) -> None:

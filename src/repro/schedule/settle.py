@@ -26,28 +26,33 @@ Implementation note: this runs after every committed migration, so it is
 the hottest loop in BSA. Nodes are mapped to dense integer ids and the
 Kahn pass runs over plain lists.
 
-Three implementations coexist, selected by the process-wide hot-path
-mode:
+Two full passes exist, one per side of the differential contract:
 
-* :func:`_settle_legacy` — the original closure-per-dependency code
-  (mode ``legacy``, the reference oracle);
-* :func:`_settle_fast` — the same full Kahn pass with flattened loops;
-* :func:`settle_incremental` — the change-driven engine (mode
-  ``incremental``): instead of rebuilding the whole
-  constraint DAG it starts from the *seed set* a :class:`~repro.schedule.
-  schedule.ScheduleTxn` collected during the mutations (every node whose
-  constraint predecessors changed) and propagates recomputed times
-  forward only while they actually change. Called by
-  ``commit_migration``; :func:`settle` itself always runs a full pass
-  (it has no seed information).
+* :func:`_settle_legacy` — the original closure-per-dependency code,
+  run only under the test-only ``legacy`` hot-path mode (the reference
+  oracle);
+* :func:`tail_settle` — the engine's frontier-aware pass with flattened
+  loops. Dynamic repair calls it with the event time as the frontier;
+  with a frontier of ``0.0`` nothing is frozen and it is the engine's
+  full pass, which :func:`settle` and the fallbacks of
+  :func:`settle_incremental` run.
+
+At each commit the engine runs :func:`settle_incremental`, the
+change-driven pass: instead of rebuilding the whole constraint DAG it
+starts from the *seed set* a :class:`~repro.schedule.schedule.ScheduleTxn`
+collected during the mutations (every node whose constraint
+predecessors changed) and propagates recomputed times forward only
+while they actually change. Called by ``commit_migration``;
+:func:`settle` itself always runs a full pass (it has no seed
+information).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.errors import CycleError, SchedulingError
+from repro.errors import CycleError
 from repro.obs import counters as _obs
 from repro.schedule.schedule import Schedule
 from repro.util.intervals import fast_path_enabled
@@ -56,40 +61,82 @@ from repro.util.intervals import fast_path_enabled
 def settle(schedule: Schedule) -> Schedule:
     """Recompute all start/finish times in place; returns the schedule."""
     if fast_path_enabled():
-        return _settle_fast(schedule)
+        return _full_settle(schedule)
     return _settle_legacy(schedule)
 
 
-def _settle_fast(schedule: Schedule) -> Schedule:
-    """Same longest-path computation as :func:`_settle_legacy` with the
-    inner loops flattened (no closure per dependency, hoisted lookups).
-    Times are identical: node durations and the precedence structure are
-    the same, and Kahn's algorithm computes each start as a max over
-    predecessors independent of traversal order.
+def _full_settle(schedule: Schedule) -> Schedule:
+    """The engine's full pass: :func:`tail_settle` with a frontier of
+    ``0.0`` (nothing frozen), then the occupant resort. Times are
+    identical to :func:`_settle_legacy`: node durations and the
+    precedence structure are the same, and Kahn's algorithm computes
+    each start as a max over predecessors independent of traversal
+    order.
     """
     if _obs.ACTIVE:
         _obs.inc("settle.full_passes")
+    tail_settle(schedule, 0.0)
+    schedule.resort_orders()
+    return schedule
+
+
+def tail_settle(schedule: Schedule, frontier: float) -> Schedule:
+    """Settle every tail node (``start >= frontier``) in place.
+
+    With ``frontier <= 0.0`` nothing is frozen and every node is
+    recomputed from 0, exactly as :func:`_settle_legacy` does: this is
+    the engine's full pass (:func:`_full_settle`). Dynamic repair
+    passes the event time.
+
+    Frozen nodes are constants: they are never enqueued and their
+    ``finish`` values enter the longest-path computation as initial
+    floors.  Every tail node is additionally floored at ``frontier`` —
+    a decision made at the event time cannot take effect earlier.
+    Edges *into* frozen nodes are dropped: a settled prefix has no tail
+    predecessor of a frozen node (positive durations force every
+    constraint predecessor of a ``start < T`` node to start earlier
+    still), so the drop can only be exercised within float tolerance,
+    where the frozen times are already valid.
+
+    Raises :class:`~repro.errors.CycleError` — *before* any write-back
+    — when the tail orders are contradictory.  Write-backs that change
+    a time are recorded in the open transaction's undo log, so callers
+    can roll back an entire failed repair exactly.  Occupant orders are
+    **not** resorted here: resorts are not undo-logged, so the caller
+    must resort only after committing the transaction.
+    """
     system = schedule.system
     graph = system.graph
     exec_cost = system.exec_cost
     comm_cost = system.comm_cost
+    slots = schedule.slots
+    routes = schedule.routes
+    freeze = frontier > 0.0
+    floor = frontier if freeze else 0.0
 
+    # dense ids for tail nodes; a frozen node maps to -1 (every placed
+    # node has an entry, so the loops below index instead of probing)
     objs: List[object] = []
     duration: List[float] = []
     append_obj = objs.append
     append_dur = duration.append
-
     task_ids: Dict[object, int] = {}
+    hop_ids: Dict[int, int] = {}
     i = 0
-    for task, slot in schedule.slots.items():
+    for task, slot in slots.items():
+        if freeze and slot.start < frontier:
+            task_ids[task] = -1
+            continue
         task_ids[task] = i
         append_obj(slot)
         c = slot.cost
         append_dur(c if c is not None else exec_cost(task, slot.proc))
         i += 1
-    hop_ids: Dict[int, int] = {}
-    for route in schedule.routes.values():
+    for route in routes.values():
         for hop in route.hops:
+            if freeze and hop.start < frontier:
+                hop_ids[id(hop)] = -1
+                continue
             hop_ids[id(hop)] = i
             append_obj(hop)
             c = hop.cost
@@ -99,54 +146,84 @@ def _settle_fast(schedule: Schedule) -> Schedule:
     n = i
     succ: List[List[int]] = [[] for _ in range(n)]
     indeg: List[int] = [0] * n
+    start = [floor] * n
 
+    # processor order chains (a frozen predecessor becomes a floor)
     for order in schedule.proc_order.values():
-        if len(order) > 1:
-            a = task_ids[order[0]]
-            for t in order[1:]:
-                b = task_ids[t]
+        a = -1
+        f = floor
+        for t in order:
+            b = task_ids[t]
+            if b < 0:
+                a = -1
+                f = slots[t].finish
+                continue
+            if a >= 0:
                 succ[a].append(b)
                 indeg[b] += 1
-                a = b
+            elif f > start[b]:
+                start[b] = f
+            a = b
 
+    # link order chains
     for hops in schedule.link_order.values():
-        if len(hops) > 1:
-            a = hop_ids[id(hops[0])]
-            for h in hops[1:]:
-                b = hop_ids[id(h)]
+        a = -1
+        f = floor
+        for h in hops:
+            b = hop_ids[id(h)]
+            if b < 0:
+                a = -1
+                f = h.finish
+                continue
+            if a >= 0:
                 succ[a].append(b)
                 indeg[b] += 1
-                a = b
+            elif f > start[b]:
+                start[b] = f
+            a = b
 
-    routes = schedule.routes
-    get_route = routes.get
-    # direct adjacency iteration — graph.edges() would build a fresh
-    # tuple list on a path hit hundreds of times per schedule
+    # message chains & task precedence — direct adjacency iteration
+    # (graph.edges() would build a fresh tuple list)
+    routes_get = routes.get
     for u, vs in graph._succ.items():
         iu = task_ids.get(u)
         if iu is None:
             continue  # partial schedule: constraint not yet active
+        if iu < 0:
+            u_finish = slots[u].finish
         for v in vs:
             iv = task_ids.get(v)
             if iv is None:
                 continue
-            route = get_route((u, v))
             a = iu
+            if a < 0:
+                f = u_finish
+            route = routes_get((u, v))
             if route is not None:
                 for hop in route.hops:
                     b = hop_ids[id(hop)]
-                    succ[a].append(b)
-                    indeg[b] += 1
+                    if b < 0:
+                        a = -1
+                        f = hop.finish
+                        continue
+                    if a >= 0:
+                        succ[a].append(b)
+                        indeg[b] += 1
+                    elif f > start[b]:
+                        start[b] = f
                     a = b
-            succ[a].append(iv)
-            indeg[iv] += 1
+            if iv < 0:
+                continue  # edge into the committed prefix: dropped
+            if a >= 0:
+                succ[a].append(iv)
+                indeg[iv] += 1
+            elif f > start[iv]:
+                start[iv] = f
 
-    start = [0.0] * n
+    # Kahn longest-path; iterating ``ready`` visits the nodes appended
+    # during the walk
     ready = [k for k in range(n) if indeg[k] == 0]
-    head = 0
-    while head < len(ready):
-        k = ready[head]
-        head += 1
+    for k in ready:
         finish = start[k] + duration[k]
         for j in succ[k]:
             if finish > start[j]:
@@ -154,22 +231,29 @@ def _settle_fast(schedule: Schedule) -> Schedule:
             indeg[j] -= 1
             if indeg[j] == 0:
                 ready.append(j)
-    if head != n:
+    if len(ready) != n:
         blocked = [k for k in range(n) if indeg[k] > 0]
         cycle = _extract_cycle(succ, blocked, objs, schedule)
+        what = "tail" if freeze else "schedule"
         raise CycleError(
-            f"contradictory schedule orders ({len(blocked)} nodes blocked); "
+            f"contradictory {what} orders ({len(blocked)} nodes blocked); "
             f"cycle: {cycle}",
             blocked,
         )
 
-    for k in range(n):
-        obj = objs[k]
-        s = start[k]
-        obj.start = s
-        obj.finish = s + duration[k]
-
-    schedule.resort_orders()
+    txn = schedule._txn
+    if txn is None:
+        for obj, s, d in zip(objs, start, duration):
+            obj.start = s
+            obj.finish = s + d
+        return schedule
+    times_append = txn.times.append
+    for obj, s, d in zip(objs, start, duration):
+        f = s + d
+        if obj.start != s or obj.finish != f:
+            times_append((obj, obj.start, obj.finish))
+            obj.start = s
+            obj.finish = f
     return schedule
 
 
@@ -201,14 +285,14 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     restores the pre-commit times exactly.
 
     The fixpoint is unique and max() involves no arithmetic, so the
-    resulting times are bit-identical to :func:`_settle_fast` — enforced
+    resulting times are bit-identical to a full pass — enforced
     across the whole randomized invariant sweep by
     ``tests/test_hotpath_equivalence.py`` and ``benchmarks/bench_hotpath.py``.
     """
     system = schedule.system
     graph = system.graph
     if graph.has_zero_cost_edge():
-        return _settle_fast(schedule)
+        return _full_settle(schedule)
 
     slots = schedule.slots
     routes = schedule.routes
@@ -285,7 +369,7 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
             if _obs.ACTIVE:
                 _obs.inc("settle.budget_fallbacks")
                 _obs.inc("settle.cone_pops", pops)
-            return _settle_fast(schedule)
+            return _full_settle(schedule)
         _, _, is_hop, obj = heappop(heap)
         pending.discard(id(obj))
 

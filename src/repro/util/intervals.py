@@ -18,13 +18,15 @@ Two implementations coexist:
   difference between O(n) and O(log n + k) per candidate evaluation.
 
 Which one the schedulers use is controlled by the process-wide hot-path
-mode (:func:`hotpath_mode` / :func:`set_hotpath_mode`, initialized from
-``REPRO_HOTPATH``). Two modes exist: ``incremental`` (the default:
-indexed timelines, memoized routing/costs, screened candidate
-evaluation, the change-driven settle engine and the undo-log rollback in
-:mod:`repro.schedule.settle` / :mod:`repro.schedule.schedule`) and
-``legacy`` (the original linear-rescan reference code, kept as the
-oracle). Both produce bit-identical schedules — enforced by
+mode (:func:`hotpath_mode` / :func:`set_hotpath_mode`). Every process
+starts in ``incremental``, the engine users run: indexed timelines,
+memoized routing/costs, screened candidate evaluation, the
+change-driven settle engine and the undo-log rollback in
+:mod:`repro.schedule.settle` / :mod:`repro.schedule.schedule`.
+``legacy`` is the original linear-rescan reference code, a test-only
+oracle that the differential tests and benches select with
+:func:`set_hotpath_mode`; no environment variable reaches it. Both
+produce bit-identical schedules — enforced by
 ``benchmarks/bench_hotpath.py`` and ``tests/test_hotpath_equivalence.py``.
 
 All comparisons use an absolute slack ``EPS`` to absorb floating-point
@@ -36,7 +38,6 @@ for the many engine-side callers.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -44,26 +45,18 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.util.tolerance import EPS
 
-#: hot-path modes: "incremental" (default) runs the indexed structures,
-#: memoized routing/cost lookups, screened candidate evaluation,
-#: change-driven settle engine and undo-log rollback; "legacy" runs the
-#: original linear-rescan code.
+#: hot-path modes: "incremental" (the engine) runs the indexed
+#: structures, memoized routing/cost lookups, screened candidate
+#: evaluation, change-driven settle engine and undo-log rollback;
+#: "legacy" (the test-only oracle) runs the original linear-rescan code.
 HOTPATH_MODES = ("incremental", "legacy")
 
-
-_hotpath_mode = os.environ.get("REPRO_HOTPATH", "").strip().lower() or "incremental"
-if _hotpath_mode not in HOTPATH_MODES:
-    from repro.errors import ConfigurationError
-
-    raise ConfigurationError(
-        f"REPRO_HOTPATH={_hotpath_mode!r} is not a hot-path mode; "
-        f"valid modes are {HOTPATH_MODES}"
-    )
+_hotpath_mode = "incremental"
 
 
 def hotpath_mode() -> str:
-    """Current hot-path mode: ``"incremental"`` (default) or
-    ``"legacy"``."""
+    """Current hot-path mode: ``"incremental"`` (the engine, set at
+    import) or ``"legacy"`` (the oracle)."""
     return _hotpath_mode
 
 

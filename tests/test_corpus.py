@@ -7,7 +7,7 @@ The two load-bearing contracts:
   changes the key, identical overlays hit the cache across ``--jobs 2``
   pool runs;
 * **determinism** — the ``repro corpus bench`` aggregate report is
-  byte-identical across all three ``REPRO_HOTPATH`` engine modes.
+  byte-identical under the engine and its ``legacy`` oracle.
 """
 
 import dataclasses
@@ -338,8 +338,8 @@ class TestBench:
         assert second.cache_hits == second.unique == first.unique
 
     def test_report_byte_identical_across_modes_and_jobs(self, restore_mode):
-        """Acceptance: the aggregate report is byte-identical across all
-        three REPRO_HOTPATH engine modes and independent of --jobs."""
+        """Acceptance: the aggregate report is byte-identical under the
+        engine and its legacy oracle and independent of --jobs."""
         reports = {}
         for mode in MODES:
             set_hotpath_mode(mode)
@@ -400,8 +400,8 @@ class TestBench:
         self, restore_mode
     ):
         """PR 9: the per-criterion mean table rides the same determinism
-        contract as the rest of the report — byte-identical across the
-        three engine modes and independent of --jobs."""
+        contract as the rest of the report — byte-identical under the
+        engine and its legacy oracle and independent of --jobs."""
         reports = {}
         for mode in MODES:
             set_hotpath_mode(mode)

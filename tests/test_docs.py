@@ -144,7 +144,11 @@ class TestArchitecture:
         text = _read("ARCHITECTURE.md")
         for mode in ("incremental", "legacy"):
             assert f"`{mode}`" in text
-        assert "REPRO_HOTPATH" in text
+        # the oracle is reached only through set_hotpath_mode; no
+        # environment variable selects an engine
+        assert "set_hotpath_mode" in text
+        assert "test-only oracle" in text
+        assert "REPRO_HOTPATH" not in text
         assert "byte identity" in text.lower().replace("-", " ")
 
     def test_architecture_documents_interchange_and_substrate(self):

@@ -4,8 +4,7 @@ examples, and the examples must pass.
 These are the modules the documentation sweep promises examples for
 (workload generators, graph IO/interchange, the topology builders and
 the schedule container). Running them inside the tier-1 suite means the
-examples execute under all three ``REPRO_HOTPATH`` CI legs — a docstring
-whose output depended on the engine mode would fail here.
+examples execute on every CI test job, under the engine users run.
 """
 
 import doctest

@@ -32,6 +32,7 @@ from repro.dynamic import (
     simulate,
     simulate_scenario,
     sort_events,
+    tail_settle,
     write_event_trace,
 )
 from repro.dynamic.events import _alive_connected
@@ -43,6 +44,7 @@ from repro.experiments.config import Cell
 from repro.experiments.runner import build_cell_system, run_cell, run_cells
 from repro.network.topology import hypercube, ring
 from repro.schedule.io import schedule_to_json
+from repro.schedule.settle import settle
 from repro.schedule.validator import schedule_violations, validate_schedule
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 
@@ -273,6 +275,32 @@ class TestModeIdentity:
             logs[mode] = sim.log_json()
         assert blobs["legacy"] == blobs["incremental"]
         assert logs["legacy"] == logs["incremental"]
+
+        # With nothing frozen, tail_settle plus the occupant resort is
+        # the engine's full settle: on a perturbed BSA schedule (a task
+        # pulled out so its successors bubble up, every other time
+        # scrambled) it lands on exactly the legacy oracle's times and
+        # orders.
+        set_hotpath_mode("incremental")
+        _, sched = _fresh()
+        busiest = max(sched.proc_order, key=lambda p: len(sched.proc_order[p]))
+        order = sched.proc_order[busiest]
+        sched.remove_task(order[len(order) // 2])
+        objs = list(sched.slots.values()) + [
+            h for r in sched.routes.values() for h in r.hops
+        ]
+        for k, obj in enumerate(objs):
+            obj.start = obj.start * 0.5 + k % 3
+            obj.finish = obj.start
+        perturbed = _state_fingerprint(sched)
+
+        oracle = sched.copy()
+        set_hotpath_mode("legacy")
+        settle(oracle)
+        tail_settle(sched, 0.0)
+        sched.resort_orders()
+        assert _state_fingerprint(sched) == _state_fingerprint(oracle)
+        assert _state_fingerprint(sched) != perturbed
 
     def test_jobs_fanout_identical(self, tmp_path):
         cells = [

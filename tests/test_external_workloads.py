@@ -3,8 +3,8 @@
 Covers the provider layer (app tokens with content hashes, stale-file
 detection, cell construction), the runner integration (serial and
 process-pool), and the acceptance property for the bundled corpus:
-every file schedules validator-clean and byte-identically across all
-three ``REPRO_HOTPATH`` engine modes, under every scheduler.
+every file schedules validator-clean and byte-identically under the
+engine and its ``legacy`` oracle, under every scheduler.
 """
 
 import os
@@ -176,8 +176,8 @@ class TestCorpus:
     )
     def test_corpus_byte_identical_across_engine_modes(self, filename, restore_mode):
         """Acceptance: `repro schedule --graph <sample>` produces a
-        validator-clean schedule byte-identical across all three
-        REPRO_HOTPATH modes (checked via the serialized schedule, which
+        validator-clean schedule byte-identical under the engine and its
+        legacy oracle (checked via the serialized schedule, which
         records every task time and every message hop)."""
         path = os.path.join(CORPUS_DIR, filename)
         for algorithm in ("bsa", "dls"):

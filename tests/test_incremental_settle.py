@@ -70,9 +70,10 @@ class TestIncrementalSettleEquivalence:
     )
     def test_every_commit_matches_full_settle(self, cell, incremental_mode,
                                               monkeypatch):
-        """After *each* incremental settle during a BSA run, a full Kahn
-        pass over a deep copy must produce identical times — the
-        strongest per-step check the differential harness allows."""
+        """After *each* incremental settle during a BSA run, the legacy
+        oracle's full Kahn pass over a deep copy must produce identical
+        times — the strongest per-step check the differential harness
+        allows."""
         import repro.core.migration as mig
         from repro.schedule import settle as settle_pkg  # noqa: F401
         import importlib
@@ -84,7 +85,7 @@ class TestIncrementalSettleEquivalence:
         def checking(schedule, seed_tasks, seed_hops):
             out = orig(schedule, seed_tasks, seed_hops)
             dup = schedule.copy()
-            settle_mod._settle_fast(dup)
+            settle_mod._settle_legacy(dup)
             for t, slot in schedule.slots.items():
                 d = dup.slots[t]
                 assert (slot.start, slot.finish) == (d.start, d.finish), t
@@ -162,7 +163,7 @@ class TestUndoLogRollback:
         sched.mark_local(("T1", "T9"))
         # simulate a settle write-back recorded in the undo log
         slot = sched.slots["T2"]
-        txn.record_time(slot, slot.start, slot.finish)
+        txn.times.append((slot, slot.start, slot.finish))
         slot.start, slot.finish = -1.0, -0.5
 
         assert _state_fingerprint(sched) != before
@@ -241,6 +242,26 @@ class TestSettleIncrementalDirect:
             set_hotpath_mode(prev)
         validate_schedule(sched)
         assert calls == ["incremental" if incremental_calls else "full"]
+
+    def test_full_settle_invalidates_cached_timelines(self, paper_system,
+                                                      incremental_mode):
+        """The engine's full settle ends with the occupant resort, which
+        retires every cached link timeline: a timeline read after it
+        reflects the settled hop times, not the ones cached before."""
+        from repro.util.intervals import Timeline
+
+        _, sched = serial_injection(paper_system)
+        commit_migration(sched, evaluate_migration(sched, "T5", 3))
+        ch = next(ch for ch, hops in sched.link_order.items() if hops)
+        for hop in sched.link_order[ch]:
+            hop.start += 1.0
+            hop.finish += 1.0
+        sched.link_timeline(ch)  # cache the perturbed times
+        settle(sched)
+        fresh = Timeline.from_items(sched.link_order[ch])
+        cached = sched.link_timeline(ch)
+        assert (cached.starts, cached.finishes) == (fresh.starts,
+                                                    fresh.finishes)
 
     def test_empty_seeds_is_noop(self, paper_system):
         _, sched = serial_injection(paper_system)

@@ -7,8 +7,8 @@ Pins the layer's three contracts:
    (worker deltas merge commutatively). A golden snapshot for one
    pinned cell regression-tests *how* the schedule was found.
 2. **Out-of-band** — telemetry never changes an artifact: schedule
-   bundles are byte-identical across every ``REPRO_HOTPATH`` mode with
-   ``REPRO_OBS=1``, exactly as they are with it off.
+   bundles are byte-identical under the engine and its ``legacy``
+   oracle with ``REPRO_OBS=1``, exactly as they are with it off.
 3. **Exports** — ``/metrics`` renders every registered counter (zeros
    included) in Prometheus text 0.0.4, span records become valid
    Chrome trace JSON, and the schedule Gantt export carries matched

@@ -4,7 +4,7 @@ The contract under test, in order of importance:
 
 1. **byte-identity** — for the same request, ``POST /schedule``'s body
    equals the file ``repro schedule --export-bundle`` writes, byte for
-   byte, under every ``REPRO_HOTPATH`` engine mode;
+   byte, under the engine and its ``legacy`` oracle;
 2. **idempotency** — repeating a request is a cache hit
    (``X-Repro-Cache: hit``) that serves the identical artifact, and the
    entry carries a ``{repro_version, engine_mode, request_key}``

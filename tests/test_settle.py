@@ -4,6 +4,15 @@ import pytest
 
 from repro import Schedule, settle
 from repro.errors import CycleError
+from repro.util.intervals import hotpath_mode, set_hotpath_mode
+
+
+def _settled_times(schedule):
+    return (
+        {t: (sl.start, sl.finish) for t, sl in schedule.slots.items()},
+        {e: [(h.start, h.finish) for h in r.hops]
+         for e, r in schedule.routes.items()},
+    )
 
 
 class TestSettleBasics:
@@ -91,9 +100,41 @@ class TestSettleBasics:
         s.mark_local(("a", "c"))  # wrong but irrelevant here
         s.set_route(("b", "d"), [1, 0], hop_starts=[0.0])
         s.set_route(("c", "d"), [1, 0], hop_starts=[0.0])
-        with pytest.raises(CycleError) as err:
-            settle(s)
-        assert "cycle" in str(err.value)
+        prev = hotpath_mode()
+        try:
+            for mode in ("legacy", "incremental"):
+                set_hotpath_mode(mode)
+                with pytest.raises(CycleError) as err:
+                    settle(s.copy())
+                assert "contradictory schedule orders" in str(err.value)
+                assert "cycle" in str(err.value)
+        finally:
+            set_hotpath_mode(prev)
+
+    def test_negative_start_settles_like_the_oracle(self, homogeneous_system):
+        """A full settle freezes nothing: a hand-placed task or hop with a
+        negative start is recomputed from 0 in the engine exactly as in
+        the legacy oracle."""
+        s = Schedule(homogeneous_system)
+        s.place_task("a", 0, start=-50.0)
+        s.place_task("b", 1, start=-20.0)
+        s.place_task("c", 2, start=0.0)
+        s.place_task("d", 0, start=0.0)
+        s.set_route(("a", "b"), [0, 1], hop_starts=[-40.0])
+        s.set_route(("a", "c"), [0, 2], hop_starts=[0.0])
+        s.set_route(("b", "d"), [1, 0], hop_starts=[-5.0])
+        s.set_route(("c", "d"), [2, 0], hop_starts=[0.0])
+        prev = hotpath_mode()
+        try:
+            settled = {}
+            for mode in ("legacy", "incremental"):
+                set_hotpath_mode(mode)
+                settled[mode] = _settled_times(settle(s.copy()))
+        finally:
+            set_hotpath_mode(prev)
+        assert settled["incremental"] == settled["legacy"]
+        assert settled["incremental"][0]["a"] == (0.0, 10.0)
+        assert settled["incremental"][0]["d"][0] == pytest.approx(60)
 
     def test_partial_schedule_ok(self, homogeneous_system):
         s = Schedule(homogeneous_system)

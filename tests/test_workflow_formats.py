@@ -5,7 +5,7 @@ randomized sweep, the runtime→cost and shared-file→comm mappings on
 foreign-style documents, strict error paths, sniffing, and the
 acceptance property for the bundled corpus samples: both import,
 schedule validator-clean under all five schedulers, and serialize
-byte-identically across all three ``REPRO_HOTPATH`` engine modes.
+byte-identically under the engine and its ``legacy`` oracle.
 """
 
 import os
