@@ -29,7 +29,7 @@ Options expose the paper's ambiguities and our ablations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError, CycleError
 from repro.graph.model import TaskId
@@ -307,10 +307,8 @@ class BSAScheduler:
                 vip_proc = proc_of(vip)
 
         if opts.route_mode == "shortest" and opts.insertion:
-            tl_memo: Dict = {}
             walks = [
-                arrival_bounds(sched, (k, task), proc_of(k), slots[k].finish,
-                               tl_memo)
+                arrival_bounds(sched, (k, task), proc_of(k), slots[k].finish)
                 for k in preds
             ]
             drt_lb = [max(arrivals) for arrivals in zip(*walks)] or None

@@ -32,7 +32,6 @@ from repro.schedule.events import Edge
 from repro.schedule.schedule import Schedule
 from repro.util.intervals import (
     Interval,
-    Timeline,
     earliest_gap,
     fast_path_enabled,
 )
@@ -163,7 +162,6 @@ def arrival_bounds(
     edge: Edge,
     src: Proc,
     finish: float,
-    tl_memo: Dict[Link, Timeline],
 ) -> List[float]:
     """Lower bound on ``edge``'s arrival at *every* processor if its
     consumer migrated there, walking committed link timelines only.
@@ -180,10 +178,6 @@ def arrival_bounds(
     channel with the message. Only valid for shortest routes under the
     insertion policy: the append policy's "last reservation in start
     order" can move *earlier* once tentative hops are layered on.
-
-    ``tl_memo`` (channel -> timeline) skips the schedule's stamped
-    timeline-cache probe on repeat channels; callers batching several
-    walks against one committed state share one dict across them.
     """
     system = sched.system
     parents, chans, lids, dst_node = shortest_path_trie(system.topology, src)
@@ -197,10 +191,7 @@ def arrival_bounds(
         c = comm_cache.get((edge, lid))
         if c is None:
             c = comm_cost(edge, lid)
-        tl = tl_memo.get(ch)
-        if tl is None:
-            tl = tl_memo[ch] = link_timeline(ch)
-        arr.append(tl.earliest_gap(ready, c) + c)
+        arr.append(link_timeline(ch).earliest_gap(ready, c) + c)
     return [finish if n < 0 else arr[n] for n in dst_node]
 
 

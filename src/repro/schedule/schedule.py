@@ -70,24 +70,19 @@ class Schedule:
         self.link_order: Dict[Link, List[MessageHop]] = {
             ch: [] for ch in system.topology.channels()
         }
-        # Lazily built per-resource Timeline indexes (see timeline docs
-        # in repro.util.intervals), invalidated at *resource*
-        # granularity: every mutator bumps the version of exactly the
-        # processors/channels it touched, so a commit that rearranges
-        # two processors and three links leaves every other resource's
-        # cached timeline valid. ``_epoch`` covers wholesale changes
-        # (full resort, restore, rollback). BSA evaluates hundreds of
-        # candidate moves between mutations, so the caches are hit far
-        # more than rebuilt.
-        self._epoch: int = 0
-        self._res_version: Dict[Tuple[str, object], int] = {}
-        self._tl_cache: Dict[Tuple[str, object], Tuple[Tuple[int, int], Timeline]] = {}
-        # Occupant-position indexes for the incremental settle engine,
-        # versioned by *order* changes only (a settle rewrites times on
-        # the pivot every commit but rarely reorders it, so these maps
-        # survive most commits; timelines, which depend on times, do not).
-        self._ord_version: Dict[Tuple[str, object], int] = {}
-        self._pos_cache: Dict[Tuple[str, object], Tuple[Tuple[int, int], Dict]] = {}
+        # Lazily built per-resource views, keyed ("p", proc) or
+        # ("l", channel): Timeline indexes (see repro.util.intervals) and
+        # occupant-position maps for the incremental settle engine. One
+        # rule keeps them coherent: whatever changes a resource's order
+        # or its occupants' times evicts that resource's entries. The
+        # mutators evict exactly the processors/channels they touch;
+        # resort_partial evicts the timelines of the resources a settle
+        # rewrote (and a position map only where it re-sorted, so most
+        # commits keep them); full resorts, restores and rollbacks clear
+        # everything. BSA evaluates hundreds of candidate moves between
+        # mutations, so the caches are hit far more than rebuilt.
+        self._tl_cache: Dict[Tuple[str, object], Timeline] = {}
+        self._pos_cache: Dict[Tuple[str, object], Dict] = {}
         # Open transaction (undo log + incremental-settle seed set); see
         # begin_txn. None outside a transactional commit.
         self._txn: Optional["ScheduleTxn"] = None
@@ -134,55 +129,53 @@ class Schedule:
         :meth:`Timeline.earliest_gap_merged` instead.
         """
         key = ("p", proc)
-        stamp = (self._epoch, self._res_version.get(key, 0))
-        hit = self._tl_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        slots = self.slots
-        tl = Timeline.from_items(
-            [slots[t] for t in self.proc_order[proc]]
-        )
-        self._tl_cache[key] = (stamp, tl)
+        tl = self._tl_cache.get(key)
+        if tl is None:
+            slots = self.slots
+            tl = self._tl_cache[key] = Timeline.from_items(
+                [slots[t] for t in self.proc_order[proc]]
+            )
         return tl
 
     def link_timeline(self, link: Link) -> Timeline:
         """Cached :class:`Timeline` over the given link channel's busy
         hops (shared — do not mutate; copy first)."""
         key = ("l", link)
-        stamp = (self._epoch, self._res_version.get(key, 0))
-        hit = self._tl_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        tl = Timeline.from_items(self.link_order[link])
-        self._tl_cache[key] = (stamp, tl)
+        tl = self._tl_cache.get(key)
+        if tl is None:
+            tl = self._tl_cache[key] = Timeline.from_items(self.link_order[link])
         return tl
 
     def proc_positions(self, proc: Proc) -> Dict[TaskId, int]:
         """Cached ``task -> index`` map over ``proc_order[proc]`` (shared
-        — do not mutate). Valid until the order structurally changes."""
+        — do not mutate); evicted whenever that order changes."""
         key = ("p", proc)
-        stamp = (self._epoch, self._ord_version.get(key, 0))
-        hit = self._pos_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        m = {t: i for i, t in enumerate(self.proc_order[proc])}
-        self._pos_cache[key] = (stamp, m)
+        m = self._pos_cache.get(key)
+        if m is None:
+            m = self._pos_cache[key] = {
+                t: i for i, t in enumerate(self.proc_order[proc])
+            }
         return m
 
     def link_positions(self, channel: Link) -> Dict[int, int]:
         """Cached ``id(hop) -> index`` map over the channel's hop order
-        (shared — do not mutate). Valid until the order changes."""
+        (shared — do not mutate); evicted whenever that order changes."""
         key = ("l", channel)
-        stamp = (self._epoch, self._ord_version.get(key, 0))
-        hit = self._pos_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        m = {id(h): i for i, h in enumerate(self.link_order[channel])}
-        self._pos_cache[key] = (stamp, m)
+        m = self._pos_cache.get(key)
+        if m is None:
+            m = self._pos_cache[key] = {
+                id(h): i for i, h in enumerate(self.link_order[channel])
+            }
         return m
 
-    def route_of(self, edge: Edge) -> Optional[Route]:
-        return self.routes.get(edge)
+    def _evict(self, key: Tuple[str, object]) -> None:
+        """Drop both cached views of one resource after it changed."""
+        self._tl_cache.pop(key, None)
+        self._pos_cache.pop(key, None)
+
+    def _evict_all(self) -> None:
+        self._tl_cache.clear()
+        self._pos_cache.clear()
 
     def arrival_time(self, edge: Edge) -> float:
         """When the message of ``edge`` is available at the consumer's
@@ -218,11 +211,7 @@ class Schedule:
         self.slots[task] = slot
         if self._txn is not None:
             self._txn.record_place(task, proc, position, order)
-        key = ("p", proc)
-        rv = self._res_version
-        rv[key] = rv.get(key, 0) + 1
-        ov = self._ord_version
-        ov[key] = ov.get(key, 0) + 1
+        self._evict(("p", proc))
         return slot
 
     def _bisect_by_start(self, order: List[TaskId], start: float) -> int:
@@ -245,11 +234,7 @@ class Schedule:
         order.pop(pos)
         if self._txn is not None:
             self._txn.record_remove(task, slot, pos, order)
-        key = ("p", slot.proc)
-        rv = self._res_version
-        rv[key] = rv.get(key, 0) + 1
-        ov = self._ord_version
-        ov[key] = ov.get(key, 0) + 1
+        self._evict(("p", slot.proc))
         return slot
 
     # ------------------------------------------------------------------
@@ -289,11 +274,7 @@ class Schedule:
             channel = topology.channel(a, b)
             hop._chan = channel
             order = self.link_order[channel]
-            rkey = ("l", channel)
-            rv = self._res_version
-            rv[rkey] = rv.get(rkey, 0) + 1
-            ov = self._ord_version
-            ov[rkey] = ov.get(rkey, 0) + 1
+            self._evict(("l", channel))
             if hop_starts:
                 pos = self._bisect_hops(order, start)
                 order.insert(pos, hop)
@@ -331,13 +312,9 @@ class Schedule:
         channel = self.system.topology.channel
         txn = self._txn
         entries: List[Tuple[Link, int]] = []
-        rv = self._res_version
-        ov = self._ord_version
         for hop in route.hops:
             ch = channel(hop.src, hop.dst)
-            rkey = ("l", ch)
-            rv[rkey] = rv.get(rkey, 0) + 1
-            ov[rkey] = ov.get(rkey, 0) + 1
+            self._evict(("l", ch))
             order = self.link_order[ch]
             # identity removal: dataclass __eq__ could match a different
             # but value-equal hop of another message on the same channel
@@ -400,7 +377,7 @@ class Schedule:
             order.sort(key=lambda t: (self.slots[t].start, self.slots[t].finish))
         for l, hops in self.link_order.items():
             hops.sort(key=lambda h: (h.start, h.finish))
-        self._epoch += 1  # every resource may have changed
+        self._evict_all()  # every resource may have changed
 
     def resort_partial(self, procs: Iterable[Proc], channels: Iterable[Link]) -> None:
         """Re-sort only the given processor/link orders by settled start.
@@ -415,9 +392,11 @@ class Schedule:
         runs first and the stable sort only when it actually fails.
         """
         slots = self.slots
-        rv = self._res_version
-        ov = self._ord_version
+        tl_pop = self._tl_cache.pop
+        pos_pop = self._pos_cache.pop
         for p in procs:
+            key = ("p", p)
+            tl_pop(key, None)
             order = self.proc_order[p]
             ps = pf = float("-inf")
             for t in order:
@@ -425,25 +404,21 @@ class Schedule:
                 ss, sf = s.start, s.finish
                 if ss < ps or (ss == ps and sf < pf):
                     order.sort(key=lambda t: (slots[t].start, slots[t].finish))
-                    key = ("p", p)
-                    ov[key] = ov.get(key, 0) + 1
+                    pos_pop(key, None)
                     break
                 ps, pf = ss, sf
-            key = ("p", p)
-            rv[key] = rv.get(key, 0) + 1
         for ch in channels:
+            key = ("l", ch)
+            tl_pop(key, None)
             hops = self.link_order[ch]
             ps = pf = float("-inf")
             for h in hops:
                 ss, sf = h.start, h.finish
                 if ss < ps or (ss == ps and sf < pf):
                     hops.sort(key=lambda h: (h.start, h.finish))
-                    key = ("l", ch)
-                    ov[key] = ov.get(key, 0) + 1
+                    pos_pop(key, None)
                     break
                 ps, pf = ss, sf
-            key = ("l", ch)
-            rv[key] = rv.get(key, 0) + 1
 
     def copy(self) -> "Schedule":
         """Deep copy (fresh slot/hop objects, shared system)."""
@@ -481,8 +456,7 @@ class Schedule:
         self.slots = snapshot.slots
         self.routes = snapshot.routes
         self.link_order = snapshot.link_order
-        self._epoch += 1
-        self._tl_cache.clear()
+        self._evict_all()
 
     def stats_summary(self) -> str:
         """One-line human summary used by the CLI and examples."""
@@ -604,5 +578,4 @@ class ScheduleTxn:
         sched.slots = {t: slots[t] for t in self._slot_keys}
         sched.routes = {e: routes[e] for e in self._route_keys}
         sched._txn = None
-        sched._epoch += 1
-        sched._tl_cache.clear()
+        sched._evict_all()

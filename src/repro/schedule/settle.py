@@ -307,17 +307,12 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     succ_of = graph._succ
 
     # Occupant-position indexes, cached on the schedule across settles
-    # (invalidated only when an order structurally changes — see
-    # Schedule.proc_positions). Hops additionally carry a ``_rpos``
-    # backref (index within their route, stamped at creation) so the
-    # route chain needs no index. A local memo avoids re-stamping the
-    # cache check per pop.
-    proc_pos: Dict[object, Dict[object, int]] = {}
-    link_pos: Dict[object, Dict[int, int]] = {}
-    pp_get = proc_pos.get
-    lp_get = link_pos.get
-    sched_ppos = schedule.proc_positions
-    sched_lpos = schedule.link_positions
+    # (a settle only rewrites times, and a resource's map is evicted only
+    # when its order changes — see Schedule.proc_positions). Hops
+    # additionally carry a ``_rpos`` backref (index within their route,
+    # stamped at creation) so the route chain needs no index.
+    proc_positions = schedule.proc_positions
+    link_positions = schedule.link_positions
 
     # -- worklist ---------------------------------------------------------
     heap: List[tuple] = []
@@ -378,10 +373,7 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
         if is_hop:
             ch = obj._chan
             order = link_order[ch]
-            m = lp_get(ch)
-            if m is None:
-                m = link_pos[ch] = sched_lpos(ch)
-            i = m[id(obj)]
+            i = link_positions(ch)[id(obj)]
             if i > 0:
                 f = order[i - 1].finish
                 if f > new_start:
@@ -396,10 +388,7 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
         else:
             t, p = obj.task, obj.proc
             order = proc_order[p]
-            m = pp_get(p)
-            if m is None:
-                m = proc_pos[p] = sched_ppos(p)
-            i = m[t]
+            i = proc_positions(p)[t]
             if i > 0:
                 f = slots[order[i - 1]].finish
                 if f > new_start:

@@ -39,10 +39,9 @@ def _edges(sched):
 
 def test_equals_planner_walk_on_committed_state(scheduled):
     topo = scheduled.system.topology
-    memo = {}
     checked = 0
     for edge, src, finish in _edges(scheduled):
-        bounds = arrival_bounds(scheduled, edge, src, finish, memo)
+        bounds = arrival_bounds(scheduled, edge, src, finish)
         assert bounds[src] == finish
         for dst in topo.processors:
             if dst == src:
@@ -62,7 +61,7 @@ def test_never_exceeds_walk_over_tentative_load(scheduled):
     edges = list(_edges(scheduled))
     delayed = 0
     for (edge, src, finish), (other, _, _) in zip(edges, edges[1:]):
-        bounds = arrival_bounds(scheduled, edge, src, finish, {})
+        bounds = arrival_bounds(scheduled, edge, src, finish)
         for dst in topo.processors:
             if dst == src:
                 continue
@@ -81,7 +80,7 @@ def test_idle_links_give_the_hop_chain(small_random_system):
     _, sched = serial_injection(small_random_system)
     system = sched.system
     for edge, src, finish in _edges(sched):
-        bounds = arrival_bounds(sched, edge, src, finish, {})
+        bounds = arrival_bounds(sched, edge, src, finish)
         for dst in system.topology.processors:
             path = shortest_path(system.topology, src, dst)
             expected = finish
